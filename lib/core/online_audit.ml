@@ -130,7 +130,7 @@ module Session = struct
       | None -> high_watermark / 2
     in
     let e = Replay.engine ~image ?mem_words ~peers () in
-    let pre_state = Replay.state_digest (Replay.engine_machine e) in
+    let pre_state = Snapshot.machine_digest (Replay.engine_machine e) in
     let syn =
       match ctx with
       | Some c -> Syn_full (Audit.syn_stream ~ctx:c ~prev_hash)
@@ -327,27 +327,14 @@ module Session = struct
     let snaps = (Option.get t.snapshot_of) () in
     let chain = Snapshot.chain_upto snaps snapshot_seq in
     if not (List.exists (fun s -> s.Snapshot.seq = snapshot_seq) chain) then `Stall
-    else begin
-      let machine = Snapshot.materialize ?mem_words:t.mem_words ~image:t.image chain in
-      let recomputed =
-        Avm_crypto.Sha256.digest_list
-          [
-            Machine.serialize_meta machine;
-            Avm_crypto.Merkle.root (Snapshot.merkle_of_machine machine);
-            string_of_int at_icount;
-          ]
-      in
-      if not (String.equal recomputed digest) then
-        `Fault
-          {
-            Replay.kind = Replay.Snapshot_mismatch;
-            at = Machine.landmark machine;
-            entry_seq = Some entry_seq;
-            detail = "downloaded snapshot does not match the logged digest";
-          }
-      else
+    else
+      match
+        Spot_check.authenticated_state ~image:t.image ?mem_words:t.mem_words ~digest ~at_icount
+          ~entry_seq chain
+      with
+      | Error d -> `Fault d
+      | Ok machine ->
         `Ok (Replay.engine ~image:t.image ?mem_words:t.mem_words ~start:machine ~peers:t.peers ())
-    end
 
   let ensure_engine t =
     match t.resume with

@@ -266,10 +266,7 @@ let check_snapshots e =
                entry_seq = Some seq;
                detail = Printf.sprintf "snapshot %d was due at icount %d" snapshot_seq at_icount;
              });
-      let meta = Machine.serialize_meta e.machine in
-      let root = Avm_crypto.Merkle.root (Snapshot.merkle_of_machine e.machine) in
-      let recomputed = Avm_crypto.Sha256.digest_list [ meta; root; string_of_int at_icount ] in
-      if not (String.equal recomputed digest) then
+      if not (String.equal (Snapshot.machine_digest e.machine) digest) then
         raise
           (Fault_exn
              {
@@ -334,14 +331,6 @@ let crank e ~fuel =
     match !result with Some r -> r | None -> assert false)
 
 let default_fuel = 200_000_000
-
-(* The state digest replay itself seals into Snapshot_ref entries and
-   checks in [check_snapshots] — also the pre-state half of a
-   [Replay_cache] fingerprint. *)
-let state_digest machine =
-  let meta = Machine.serialize_meta machine in
-  let root = Avm_crypto.Merkle.root (Snapshot.merkle_of_machine machine) in
-  Avm_crypto.Sha256.digest_list [ meta; root; string_of_int (Machine.icount machine) ]
 
 (* The memoization protocol shared by every cached replay path (here,
    Spot_check, and through them Audit/Witness): on a hit the exact
@@ -452,7 +441,7 @@ let replay_chunks ~image ?mem_words ?start ?(fuel = default_fuel) ?strict_landma
     with_cache ?cache ~fuel
       ~print:(fun () ->
         Replay_cache.fingerprint ~image ?mem_words ?strict_landmarks ~peers
-          ~pre_state:(state_digest machine) entries)
+          ~pre_state:(Snapshot.machine_digest machine) entries)
       ~replay:(fun () ->
         replay_chunks_raw ~image ?mem_words ~start:machine ~fuel ?strict_landmarks ~peers
           ~chunks:(Seq.return entries) ())

@@ -48,11 +48,6 @@ val pp_outcome : Format.formatter -> outcome -> unit
 val default_fuel : int
 (** 200M instructions — the default replay budget. *)
 
-val state_digest : Avm_machine.Machine.t -> string
-(** The digest a Snapshot_ref taken {e now} would seal: SHA-256 over
-    (serialized meta, memory Merkle root, icount). The pre-state half
-    of a {!Replay_cache} fingerprint. *)
-
 val replay :
   image:int array ->
   ?mem_words:int ->

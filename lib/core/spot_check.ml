@@ -46,32 +46,23 @@ let chain_to pl s =
 
 let has_snapshot pl s = Array.exists (fun (sn : Snapshot.t) -> sn.seq = s) pl.p_chain
 
-(* Materialize the downloaded state at a boundary and authenticate it
-   against the logged digest; a forged download is itself evidence. *)
-let downloaded_state pl ~image ?mem_words ~log (b : boundary) =
-  let machine = Snapshot.materialize ?mem_words ~image (chain_to pl b.snapshot_seq) in
-  let logged_digest =
-    match (Log.entry log b.entry_seq).Entry.content with
-    | Entry.Snapshot_ref { digest; _ } -> digest
-    | _ -> assert false
+(* Materialize downloaded state and authenticate it against the digest
+   logged at its boundary. A forged download — one that does not match,
+   or cannot even be materialized — is itself the divergence. *)
+let authenticated_state ~image ?mem_words ~digest ~at_icount ~entry_seq chain =
+  let mismatch at detail =
+    { Replay.kind = Replay.Snapshot_mismatch; at; entry_seq = Some entry_seq; detail }
   in
-  let meta = Machine.serialize_meta machine in
-  let root = Avm_crypto.Merkle.root (Snapshot.merkle_of_machine machine) in
-  let recomputed =
-    Avm_crypto.Sha256.digest_list [ meta; root; string_of_int b.at_icount ]
-  in
-  let fault =
-    if String.equal recomputed logged_digest then None
-    else
-      Some
-        {
-          Replay.kind = Replay.Snapshot_mismatch;
-          at = Machine.landmark machine;
-          entry_seq = Some b.entry_seq;
-          detail = "downloaded snapshot does not match the logged digest";
-        }
-  in
-  (machine, fault)
+  match Snapshot.materialize ?mem_words ~image chain with
+  | Error why ->
+    Error
+      (mismatch
+         { Landmark.icount = at_icount; pc = 0; branches = 0 }
+         ("downloaded snapshot is malformed: " ^ why))
+  | Ok machine when String.equal (Snapshot.machine_digest ~at_icount machine) digest -> Ok machine
+  | Ok machine ->
+    Error
+      (mismatch (Machine.landmark machine) "downloaded snapshot does not match the logged digest")
 
 type chunk_report = {
   start_snapshot : int;
@@ -93,6 +84,10 @@ let logged_digest log (b : boundary) =
   match (Log.entry log b.entry_seq).Entry.content with
   | Entry.Snapshot_ref { digest; _ } -> digest
   | _ -> assert false
+
+let downloaded_state pl ~image ?mem_words ~log (b : boundary) =
+  authenticated_state ~image ?mem_words ~digest:(logged_digest log b) ~at_icount:b.at_icount
+    ~entry_seq:b.entry_seq (chain_to pl b.snapshot_seq)
 
 (* Memoize one log range: fingerprint straight off the log (segment at
    a time, no entry list materialized), then run the [Replay.with_cache]
@@ -146,28 +141,31 @@ let check_chunk ?plan:pl ?cache ~image ~mem_words ~snapshots ~log ~peers ~start_
   let end_b = boundary_of pl (start_snapshot + k) in
   let from = start_b.entry_seq + 1 and upto = end_b.entry_seq in
   let full () =
-    (* Materialize the authenticated state at the chunk's first
-       snapshot; a forged download is itself the divergence. *)
-    let machine, digest_fault = downloaded_state pl ~image ~mem_words ~log start_b in
-    (* What the auditor transfers: the full state at the chunk start
-       (the paper's "memory + disk snapshots") plus the compressed
-       log. *)
-    let state_bytes =
-      String.length (Machine.serialize_meta machine)
-      + (Memory.page_count (Machine.mem machine) * Memory.page_size * 4)
-    in
     let log_bytes_compressed = Log.transfer_bytes log ~from ~upto in
-    let outcome =
-      match digest_fault with
-      | Some d -> Replay.Diverged d
-      | None ->
-        Replay.replay_chunks ~image ~mem_words ~start:machine ~peers
-          ~chunks:(Log.chunk_seq log ~from ~upto) ()
-    in
-    let replay_instructions =
-      match outcome with
-      | Replay.Verified { instructions; _ } -> instructions
-      | Replay.Diverged _ -> Machine.icount machine - start_b.at_icount
+    (* Materialize the authenticated state at the chunk's first
+       snapshot; a forged download is itself the divergence, with
+       nothing usable transferred or replayed. *)
+    let state_bytes, replay_instructions, outcome =
+      match downloaded_state pl ~image ~mem_words ~log start_b with
+      | Error d -> (0, 0, Replay.Diverged d)
+      | Ok machine ->
+        (* What the auditor transfers: the full state at the chunk
+           start (the paper's "memory + disk snapshots") plus the
+           compressed log. *)
+        let state_bytes =
+          String.length (Machine.serialize_meta machine)
+          + (Memory.page_count (Machine.mem machine) * Memory.page_size * 4)
+        in
+        let outcome =
+          Replay.replay_chunks ~image ~mem_words ~start:machine ~peers
+            ~chunks:(Log.chunk_seq log ~from ~upto) ()
+        in
+        let replay_instructions =
+          match outcome with
+          | Replay.Verified { instructions; _ } -> instructions
+          | Replay.Diverged _ -> Machine.icount machine - start_b.at_icount
+        in
+        (state_bytes, replay_instructions, outcome)
     in
     Avm_obs.Metrics.incr ~by:state_bytes "spot_check.state_bytes";
     Avm_obs.Metrics.incr ~by:log_bytes_compressed "spot_check.log_bytes_compressed";
@@ -259,8 +257,8 @@ let replay_piece pl ~image ?mem_words ?fuel ?cache ~peers ~log piece =
         Replay.Verified { instructions; entries_consumed })
       ~full:(fun () ->
         match downloaded_state pl ~image ?mem_words ~log b with
-        | _, Some d -> Replay.Diverged d
-        | machine, None -> replay (Some machine))
+        | Error d -> Replay.Diverged d
+        | Ok machine -> replay (Some machine))
       ~outcome_of:Fun.id ()
 
 (* Merge per-piece outcomes in sequence order: the earliest diverged

@@ -31,6 +31,26 @@ type plan
 val plan : log:Avm_tamperlog.Log.t -> snapshots:Avm_machine.Snapshot.t list -> plan
 val plan_boundaries : plan -> boundary list
 
+val authenticated_state :
+  image:int array ->
+  ?mem_words:int ->
+  digest:string ->
+  at_icount:int ->
+  entry_seq:int ->
+  Avm_machine.Snapshot.t list ->
+  (Avm_machine.Machine.t, Replay.divergence) result
+(** [authenticated_state ~image ~digest ~at_icount ~entry_seq chain]
+    materializes a downloaded snapshot chain ({!Avm_machine.Snapshot.chain_upto})
+    and authenticates it against the [digest] logged at the
+    [Snapshot_ref] entry [entry_seq]. A forged download is a
+    [Snapshot_mismatch] divergence naming [entry_seq], never an
+    exception: both state that does not match the digest and a chain
+    that cannot be materialized at all (a page out of range or of the
+    wrong length, a meta-state that does not decode). The state
+    transfer step shared by {!check_chunk}, {!parallel_replay} and
+    {!Online_audit}'s cache-hit re-seat.
+    @raise Invalid_argument on an empty chain. *)
+
 type chunk_report = {
   start_snapshot : int;
   k : int;

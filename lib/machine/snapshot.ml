@@ -8,27 +8,19 @@ type t = {
   page_count : int;
 }
 
-type tracker = { mutable page_hashes : string array; mutable next_seq : int }
+type tracker = { mutable next_seq : int }
 
-let tracker () = { page_hashes = [||]; next_seq = 0 }
+let tracker () = { next_seq = 0 }
+let merkle_of_machine machine = Memory.merkle (Machine.mem machine)
+let root_of machine = Avm_crypto.Merkle.root (merkle_of_machine machine)
 
 let take tr machine =
   let mem = Machine.mem machine in
   let n = Memory.page_count mem in
   let full = tr.next_seq = 0 in
-  if full then tr.page_hashes <- Array.make n "";
-  if Array.length tr.page_hashes <> n then invalid_arg "Snapshot.take: machine changed";
-  let changed = if full then List.init n (fun p -> p) else Memory.dirty_pages mem in
-  let pages =
-    List.map
-      (fun p ->
-        let data = Memory.page_data mem p in
-        tr.page_hashes.(p) <- Avm_crypto.Merkle.leaf_hash data;
-        (p, data))
-      changed
-  in
+  let changed = if full then List.init n Fun.id else Memory.dirty_pages mem in
+  let pages = List.map (fun p -> (p, Memory.page_data mem p)) changed in
   Memory.clear_dirty mem;
-  let tree = Avm_crypto.Merkle.of_leaf_hashes (Array.to_list tr.page_hashes) in
   let seq = tr.next_seq in
   tr.next_seq <- seq + 1;
   {
@@ -37,12 +29,18 @@ let take tr machine =
     meta = Machine.serialize_meta machine;
     pages;
     full;
-    root = Avm_crypto.Merkle.root tree;
+    root = root_of machine;
     page_count = n;
   }
 
-let state_digest t =
-  Avm_crypto.Sha256.digest_list [ t.meta; t.root; string_of_int t.at_icount ]
+let digest ~meta ~root ~at_icount =
+  Avm_crypto.Sha256.digest_list [ meta; root; string_of_int at_icount ]
+
+let state_digest t = digest ~meta:t.meta ~root:t.root ~at_icount:t.at_icount
+
+let machine_digest ?at_icount machine =
+  digest ~meta:(Machine.serialize_meta machine) ~root:(root_of machine)
+    ~at_icount:(Option.value at_icount ~default:(Machine.icount machine))
 
 let encode t =
   let open Avm_util in
@@ -88,31 +86,35 @@ let chain_upto snapshots upto =
     (fun a b -> compare a.seq b.seq)
     (List.filter (fun s -> s.seq <= upto) snapshots)
 
+(* Snapshots come from the audited party, so every way a forged chain
+   can fail to apply is an [Error], never an exception. *)
 let materialize ?mem_words ~image chain =
-  match chain with
-  | [] -> invalid_arg "Snapshot.materialize: empty chain"
-  | first :: _ ->
-    let machine =
-      match mem_words with
-      | Some w -> Machine.create ~mem_words:w image
-      | None -> Machine.create image
-    in
-    ignore first;
-    let mem = Machine.mem machine in
-    let last = List.fold_left (fun _ snap -> Some snap) None chain in
+  if chain = [] then invalid_arg "Snapshot.materialize: empty chain";
+  let machine =
+    match mem_words with
+    | Some w -> Machine.create ~mem_words:w image
+    | None -> Machine.create image
+  in
+  let mem = Machine.mem machine in
+  let n = Memory.page_count mem in
+  let bad_page snap (p, data) =
+    if p < 0 || p >= n then Some (Printf.sprintf "snapshot %d: page %d out of range" snap.seq p)
+    else if String.length data <> Memory.page_size * 4 then
+      Some (Printf.sprintf "snapshot %d: page %d has %d bytes" snap.seq p (String.length data))
+    else None
+  in
+  match List.find_map (fun snap -> List.find_map (bad_page snap) snap.pages) chain with
+  | Some why -> Error why
+  | None -> (
     List.iter
       (fun snap -> List.iter (fun (p, data) -> Memory.set_page_data mem p data) snap.pages)
       chain;
-    (match last with
-    | Some snap -> Machine.restore_meta machine snap.meta
-    | None -> assert false);
-    Memory.clear_dirty mem;
-    machine
+    let last = List.nth chain (List.length chain - 1) in
+    match Machine.restore_meta machine last.meta with
+    | () ->
+      Memory.clear_dirty mem;
+      Ok machine
+    | exception (Avm_util.Wire.Truncated | Avm_util.Wire.Malformed _ | Invalid_argument _) ->
+      Error (Printf.sprintf "snapshot %d: malformed meta" last.seq))
 
-let merkle_of_machine machine =
-  let mem = Machine.mem machine in
-  let n = Memory.page_count mem in
-  Avm_crypto.Merkle.of_leaves (List.init n (fun p -> Memory.page_data mem p))
-
-let verify machine ~expected_root =
-  String.equal (Avm_crypto.Merkle.root (merkle_of_machine machine)) expected_root
+let verify machine ~expected_root = String.equal (root_of machine) expected_root

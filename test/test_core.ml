@@ -481,6 +481,87 @@ let test_spot_check_incompleteness () =
   | Replay.Verified _ -> ()
   | o -> Alcotest.failf "later segment should look clean: %s" (Format.asprintf "%a" Replay.pp_outcome o)
 
+(* --- forged snapshot downloads -------------------------------------------------------- *)
+
+(* Snapshots come from the audited party. Each way a forged one can fail
+   to even materialize must surface as a Snapshot_mismatch divergence
+   that names the boundary entry — from the spot check's state download
+   and from an online session re-seating after a cache hit alike. *)
+let snapshot_forgeries =
+  let page = String.make (Avm_machine.Memory.page_size * 4) 'x' in
+  [
+    ( "page out of range",
+      fun (s : Avm_machine.Snapshot.t) -> { s with pages = (1_000_000, page) :: s.pages } );
+    ("wrong-length page", fun s -> { s with pages = (0, "short") :: s.pages });
+    ("truncated meta", fun s -> { s with meta = String.sub s.meta 0 (String.length s.meta / 2) });
+  ]
+
+let forge_snapshot seq forge snapshots =
+  List.map (fun (s : Avm_machine.Snapshot.t) -> if s.seq = seq then forge s else s) snapshots
+
+let expect_forged_download name ~entry_seq = function
+  | Replay.Diverged { kind = Replay.Snapshot_mismatch; entry_seq = Some e; _ } when e = entry_seq
+    -> ()
+  | o ->
+    Alcotest.failf "%s: expected a snapshot mismatch at entry %d, got %s" name entry_seq
+      (Format.asprintf "%a" Replay.pp_outcome o)
+
+let boundary_of_snapshot log seq =
+  List.find (fun (b : Spot_check.boundary) -> b.snapshot_seq = seq) (Spot_check.boundaries log)
+
+let test_spot_check_forged_snapshot () =
+  let _, b = run_pair ~slices:60 () in
+  let log = Avmm.log b in
+  let entry_seq = (boundary_of_snapshot log 1).entry_seq in
+  List.iter
+    (fun (name, forge) ->
+      let report =
+        Spot_check.check_chunk ~image:(guest_image ()) ~mem_words:4096
+          ~snapshots:(forge_snapshot 1 forge (Avmm.snapshots b))
+          ~log ~peers:peers_b ~start_snapshot:1 ~k:1 ()
+      in
+      expect_forged_download name ~entry_seq report.Spot_check.outcome)
+    snapshot_forgeries
+
+let test_online_forged_snapshot () =
+  let _, b = run_pair ~slices:60 () in
+  let log = Avmm.log b in
+  let entry_seq = (boundary_of_snapshot log 2).entry_seq in
+  let cache = Replay_cache.create ~spot_rate:0 () in
+  let drain s =
+    let rec go n =
+      match Online_audit.Session.step s ~budget_instructions:1_000_000_000 with
+      | Some v -> Some v
+      | None -> if n > 0 then go (n - 1) else None
+    in
+    go 10
+  in
+  (* An honest first pass remembers every closed chunk. *)
+  let first =
+    Online_audit.Session.open_session ~image:(guest_image ()) ~mem_words:4096 ~replay_rate:1.0
+      ~cache ~peers:peers_b ()
+  in
+  ignore (Online_audit.Session.ingest first log);
+  Alcotest.(check bool) "honest pass clean" true (drain first = None);
+  List.iter
+    (fun (name, forge) ->
+      (* Stop one entry past snapshot 2: the chunks up to it are cache
+         hits, and replaying the open tail re-seats from snapshot 2. *)
+      let s =
+        Online_audit.Session.open_session ~image:(guest_image ()) ~mem_words:4096
+          ~replay_rate:1.0 ~cache
+          ~snapshot_of:(fun () -> forge_snapshot 2 forge (Avmm.snapshots b))
+          ~peers:peers_b ()
+      in
+      ignore (Online_audit.Session.ingest ~upto:(entry_seq + 1) s log);
+      match drain s with
+      | Some (Online_audit.Diverged d) ->
+        Alcotest.(check bool) (name ^ ": chunks taken from the cache") true
+          ((Online_audit.Session.status s).cache_hits > 0);
+        expect_forged_download name ~entry_seq (Replay.Diverged d)
+      | _ -> Alcotest.failf "%s: forged snapshot not reported as a divergence" name)
+    snapshot_forgeries
+
 (* --- clock optimization ------------------------------------------------------------------ *)
 
 let test_clock_opt_unit () =
@@ -1572,6 +1653,9 @@ let () =
         [
           Alcotest.test_case "chunk audit" `Quick test_spot_check_chunks;
           Alcotest.test_case "incompleteness (paper §3.5)" `Quick test_spot_check_incompleteness;
+          Alcotest.test_case "forged snapshot download" `Quick test_spot_check_forged_snapshot;
+          Alcotest.test_case "online re-seat from forged snapshot" `Quick
+            test_online_forged_snapshot;
         ] );
       ( "clock-opt",
         [

@@ -95,7 +95,7 @@ let bob_ctx () =
     ~peer_certs:[ ("alice", cert_of "alice"); ("bob", cert_of "bob") ]
     ~auths ()
 
-let fresh_pre_state () = Replay.state_digest (Machine.create ~mem_words:4096 (image ()))
+let fresh_pre_state () = Avm_machine.Snapshot.machine_digest (Machine.create ~mem_words:4096 (image ()))
 
 let counts = function
   | Replay.Verified { instructions; entries_consumed } -> (instructions, entries_consumed)

@@ -358,7 +358,7 @@ let test_snapshot_incremental_materialize () =
   Alcotest.(check bool) "second incremental" false s1.Snapshot.full;
   ignore (Machine.run m Machine.null_backend ~fuel:100);
   let s2 = Snapshot.take tr m in
-  let m' = Snapshot.materialize ~mem_words:4096 ~image:img [ s0; s1; s2 ] in
+  let m' = Result.get_ok (Snapshot.materialize ~mem_words:4096 ~image:img [ s0; s1; s2 ]) in
   Alcotest.(check bool) "materialized equal" true (Machine.state_equal m m');
   Alcotest.(check bool) "root verifies" true (Snapshot.verify m' ~expected_root:s2.Snapshot.root)
 
@@ -389,7 +389,7 @@ let test_snapshot_digest_detects_poke () =
   ignore (Machine.run m Machine.null_backend ~fuel:60);
   let s = Snapshot.take tr m in
   (* an identical machine with one poked word must not verify *)
-  let m2 = Snapshot.materialize ~mem_words:4096 ~image:img [ s ] in
+  let m2 = Result.get_ok (Snapshot.materialize ~mem_words:4096 ~image:img [ s ]) in
   Memory.write (Machine.mem m2) 3000 77;
   Alcotest.(check bool) "poke detected" false
     (Snapshot.verify m2 ~expected_root:s.Snapshot.root)
@@ -397,6 +397,154 @@ let test_snapshot_digest_detects_poke () =
 let test_snapshot_empty_chain () =
   Alcotest.check_raises "empty" (Invalid_argument "Snapshot.materialize: empty chain")
     (fun () -> ignore (Snapshot.materialize ~mem_words:64 ~image:[||] []))
+
+let test_snapshot_forged_chain () =
+  let img = image counting_prog in
+  let m = Machine.create ~mem_words:4096 img in
+  let s = Snapshot.take (Snapshot.tracker ()) m in
+  let expect_error name chain =
+    match Snapshot.materialize ~mem_words:4096 ~image:img chain with
+    | Error _ -> ()
+    | Ok _ -> Alcotest.failf "%s: forged chain materialized" name
+  in
+  let page = String.make (Memory.page_size * 4) 'x' in
+  expect_error "page out of range" [ { s with Snapshot.pages = [ (16, page) ] } ];
+  expect_error "negative page" [ { s with Snapshot.pages = [ (-1, page) ] } ];
+  expect_error "short page" [ { s with Snapshot.pages = [ (0, "abc") ] } ];
+  expect_error "truncated meta"
+    [ { s with Snapshot.meta = String.sub s.Snapshot.meta 0 (String.length s.Snapshot.meta - 3) } ]
+
+(* --- Incremental state digests: cached root = from-scratch root ----------- *)
+
+(* The oracle: every page serialized byte by byte from [Memory.read] and
+   hashed from scratch, with no cached leaf hash involved. *)
+let oracle_root mem =
+  let page p =
+    String.init (Memory.page_size * 4) (fun i ->
+        let w = Memory.read mem ((p * Memory.page_size) + (i / 4)) in
+        Char.chr ((w lsr (8 * (i mod 4))) land 0xff))
+  in
+  Avm_crypto.Merkle.root (Avm_crypto.Merkle.of_leaves (List.init (Memory.page_count mem) page))
+
+type page_src = Same_contents | Zeros | Pattern of int
+
+type digest_op =
+  | Write of int * int * int
+  | Set_page of int * int * page_src
+  | Load_image of int * int
+  | Memory_copy of int
+  | Machine_copy of int
+  | Clear_dirty of int
+  | Take of int
+  | Create_same of int
+  | Create_equal_copy of int
+  | Create_mutated of int * int * int
+  | Digest of int
+
+(* Five pages: an odd leaf count exercises Merkle's promoted nodes. *)
+let digest_mem_words = 5 * Memory.page_size
+
+let prop_incremental_digest =
+  let open QCheck2.Gen in
+  let word = oneof [ int_range 0 0xffffffff; int ] in
+  let image = array_size (int_range 0 600) (oneof [ return 0; word ]) in
+  let ix = int_range 0 7 in
+  let op =
+    oneof
+      [
+        map3 (fun e a v -> Write (e, a, v)) ix (int_range 0 (digest_mem_words - 1)) word;
+        map3
+          (fun e p src -> Set_page (e, p, src))
+          ix (int_range 0 4)
+          (oneof [ return Same_contents; return Zeros; map (fun k -> Pattern k) small_nat ]);
+        map2 (fun e i -> Load_image (e, i)) ix (int_range 0 1);
+        map (fun e -> Memory_copy e) ix;
+        map (fun e -> Machine_copy e) ix;
+        map (fun e -> Clear_dirty e) ix;
+        map (fun e -> Take e) ix;
+        map (fun i -> Create_same i) (int_range 0 1);
+        map (fun i -> Create_equal_copy i) (int_range 0 1);
+        map3 (fun i a v -> Create_mutated (i, a, v)) (int_range 0 1) nat word;
+        map (fun e -> Digest e) ix;
+        map (fun e -> Digest e) ix;
+      ]
+  in
+  let gen = pair (pair image image) (list_size (int_range 1 40) op) in
+  qtest ~count:200 "state digest: cached root = from-scratch root" gen
+    (fun ((img0, img1), ops) ->
+      let images = [| img0; img1 |] in
+      (* A pool of memories, each with its machine and snapshot tracker
+         when it belongs to one. *)
+      let pool = ref [] in
+      let add ?machine mem =
+        if List.length !pool < 8 then
+          pool := !pool @ [ (mem, machine, Snapshot.tracker ()) ]
+      in
+      let create img =
+        let m = Machine.create ~mem_words:digest_mem_words img in
+        add ~machine:m (Machine.mem m)
+      in
+      create images.(0);
+      let nth e = List.nth !pool (e mod List.length !pool) in
+      let ok = ref true in
+      (* Digests are taken only at chosen points, so stale pages can
+         outlive other operations (a digest rehashes them). *)
+      let check (mem, machine, _) =
+        let expected = oracle_root mem in
+        if not (String.equal (Avm_crypto.Merkle.root (Memory.merkle mem)) expected) then
+          ok := false;
+        match machine with
+        | Some m -> if not (Snapshot.verify m ~expected_root:expected) then ok := false
+        | None -> ()
+      in
+      List.iter
+        (fun op ->
+          match op with
+          | Write (e, a, v) ->
+            let mem, _, _ = nth e in
+            Memory.write mem a v
+          | Set_page (e, p, src) ->
+            let mem, _, _ = nth e in
+            let data =
+              match src with
+              | Same_contents -> Memory.page_data mem p
+              | Zeros -> String.make (Memory.page_size * 4) '\000'
+              | Pattern k ->
+                String.init (Memory.page_size * 4) (fun i ->
+                    Char.chr (((k * 31) + (i * 7)) land 0xff))
+            in
+            Memory.set_page_data mem p data
+          | Load_image (e, i) ->
+            let mem, _, _ = nth e in
+            Memory.load_image mem images.(i)
+          | Memory_copy e ->
+            let mem, _, _ = nth e in
+            add (Memory.copy mem)
+          | Machine_copy e -> (
+            match nth e with
+            | _, Some m, _ ->
+              let c = Machine.copy m in
+              add ~machine:c (Machine.mem c)
+            | _, None, _ -> ())
+          | Clear_dirty e ->
+            let mem, _, _ = nth e in
+            Memory.clear_dirty mem
+          | Take e -> (
+            match nth e with
+            | mem, Some m, tr ->
+              let s = Snapshot.take tr m in
+              if not (String.equal s.Snapshot.root (oracle_root mem)) then ok := false
+            | _, None, _ -> ())
+          | Create_same i -> create images.(i)
+          | Create_equal_copy i -> create (Array.copy images.(i))
+          | Create_mutated (i, a, v) ->
+            let img = images.(i) in
+            if Array.length img > 0 then img.(a mod Array.length img) <- v;
+            create img
+          | Digest e -> check (nth e))
+        ops;
+      List.iter check !pool;
+      !ok)
 
 let prop_event_roundtrip =
   let open QCheck2.Gen in
@@ -497,5 +645,7 @@ let () =
           Alcotest.test_case "encode/decode" `Quick test_snapshot_encode_decode;
           Alcotest.test_case "digest detects poke" `Quick test_snapshot_digest_detects_poke;
           Alcotest.test_case "empty chain" `Quick test_snapshot_empty_chain;
+          Alcotest.test_case "forged chain is an error" `Quick test_snapshot_forged_chain;
+          prop_incremental_digest;
         ] );
     ]
