@@ -87,36 +87,21 @@ let () =
   let hit_h = hist "spot_check.cache_hit_seconds" in
   let spot_h = hist "spot_check.cache_spot_seconds" in
   let miss_h = hist "spot_check.cache_miss_seconds" in
-  let stats =
-    match on.Fleet_run.cache with
-    | Some s -> s
-    | None ->
-      Printf.eprintf "FATAL: dedup pass ran without a cache\n";
-      exit 1
-  in
+  let stats = Option.get on.Fleet_run.cache in
   Printf.printf "cache on:  %d semantic entries in %d us (hits %d, misses %d, spots %d)\n%!"
     on.Fleet_run.semantic_entries on.Fleet_run.semantic_us stats.Replay_cache.hits
     stats.Replay_cache.misses stats.Replay_cache.spot_checks;
   (* --- hard checks -------------------------------------------------------- *)
   let sig_on = Fleet_run.signature on and sig_off = Fleet_run.signature off in
-  if sig_on <> sig_off then begin
-    Printf.eprintf "FATAL: verdict vector differs cache-on vs cache-off\n";
-    exit 1
-  end;
-  if on.Fleet_run.missed <> [] || off.Fleet_run.missed <> [] then begin
-    Printf.eprintf "FATAL: %d/%d cheats went undetected (on/off)\n"
-      (List.length on.Fleet_run.missed)
-      (List.length off.Fleet_run.missed);
-    exit 1
-  end;
-  if on.Fleet_run.false_flagged <> [] then begin
-    Printf.eprintf "FATAL: %d honest nodes flagged\n" (List.length on.Fleet_run.false_flagged);
-    exit 1
-  end;
-  if stats.Replay_cache.hits = 0 then begin
-    Printf.eprintf "FATAL: dedup pass never hit the cache\n";
-    exit 1
-  end;
+  let fails =
+    Avm_scenario.Fleet_harness.gate
+      ~same:("cache on and cache off", sig_on, sig_off)
+      ~checks:[ (stats.Replay_cache.hits > 0, "dedup pass never hit the cache") ]
+      ~missed:(on.Fleet_run.missed @ off.Fleet_run.missed)
+      ~false_flagged:on.Fleet_run.false_flagged ()
+  in
+  List.iter (fun m -> prerr_endline ("FATAL: " ^ m)) fails;
+  if fails <> [] then exit 1;
   (* --- rates -------------------------------------------------------------- *)
   let per_sec entries us = float_of_int entries /. (float_of_int (max 1 us) /. 1e6) in
   let rate_off = per_sec off.Fleet_run.semantic_entries off.Fleet_run.semantic_us in

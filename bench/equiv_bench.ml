@@ -56,32 +56,20 @@ let () =
   let par = Equiv.run ~par:(Audit_ctx.parallel jobs) spec in
   Printf.printf "parallel pass (%d jobs): audits %.2fs\n%!" jobs par.Equiv.audit_seconds;
   let sig_seq = Equiv.signature seq and sig_par = Equiv.signature par in
-  if sig_seq <> sig_par then begin
-    Printf.eprintf "FATAL: verdict/proof vector differs between jobs 1 and jobs %d\n" jobs;
-    exit 1
-  end;
   let forkers = seq.Equiv.forkers in
-  let caught_in_epoch =
-    List.for_all
-      (fun (f : Equiv.forker) ->
-        match List.assoc_opt f.Equiv.node seq.Equiv.exchange_detected with
-        | Some e -> e = f.Equiv.epoch
-        | None -> false)
-      forkers
+  let fails =
+    Avm_scenario.Fleet_harness.gate
+      ~same:(Printf.sprintf "jobs 1 and jobs %d" jobs, sig_seq, sig_par)
+      ~checks:
+        [
+          ( seq.Equiv.proofs_verified = List.length seq.Equiv.proofs,
+            Printf.sprintf "%d proofs failed standalone verification"
+              (List.length seq.Equiv.proofs - seq.Equiv.proofs_verified) );
+        ]
+      ~missed:(Equiv.missed seq) ~false_flagged:seq.Equiv.false_flags ()
   in
-  if not caught_in_epoch then begin
-    Printf.eprintf "FATAL: a forker escaped its fork epoch's exchange\n";
-    exit 1
-  end;
-  if seq.Equiv.false_flags <> [] then begin
-    Printf.eprintf "FATAL: %d honest nodes accused\n" (List.length seq.Equiv.false_flags);
-    exit 1
-  end;
-  if seq.Equiv.proofs_verified <> List.length seq.Equiv.proofs then begin
-    Printf.eprintf "FATAL: %d proofs failed standalone verification\n"
-      (List.length seq.Equiv.proofs - seq.Equiv.proofs_verified);
-    exit 1
-  end;
+  List.iter (fun m -> prerr_endline ("FATAL: " ^ m)) fails;
+  if fails <> [] then exit 1;
   (* Baseline lag: epochs between the fork and the first failing audit
      verdict (a forker the baseline never flags contributes nothing —
      count them separately). *)

@@ -78,27 +78,13 @@ let () =
   Printf.printf "parallel pass (%d jobs): %d audit jobs in %.2fs\n%!" jobs
     par.Fleet_run.audit_jobs par.Fleet_run.audit_seconds;
   let sig_seq = Fleet_run.signature seq and sig_par = Fleet_run.signature par in
-  if sig_seq <> sig_par then begin
-    Printf.eprintf "FATAL: verdict vector differs between jobs 1 and jobs %d\n" jobs;
-    exit 1
-  end;
-  List.iter
-    (fun (r : Fleet_run.epoch_report) ->
-      if r.Fleet_run.coverage <> 1.0 then begin
-        Printf.eprintf "FATAL: epoch %d coverage %.3f < 1.0\n" r.Fleet_run.epoch
-          r.Fleet_run.coverage;
-        exit 1
-      end)
-    seq.Fleet_run.reports;
-  if seq.Fleet_run.missed <> [] then begin
-    Printf.eprintf "FATAL: %d cheats went undetected\n" (List.length seq.Fleet_run.missed);
-    exit 1
-  end;
-  if seq.Fleet_run.false_flagged <> [] then begin
-    Printf.eprintf "FATAL: %d honest nodes flagged\n"
-      (List.length seq.Fleet_run.false_flagged);
-    exit 1
-  end;
+  let fails =
+    Avm_scenario.Fleet_harness.gate ~reports:seq.Fleet_run.reports
+      ~same:(Printf.sprintf "jobs 1 and jobs %d" jobs, sig_seq, sig_par)
+      ~missed:seq.Fleet_run.missed ~false_flagged:seq.Fleet_run.false_flagged ()
+  in
+  List.iter (fun m -> prerr_endline ("FATAL: " ^ m)) fails;
+  if fails <> [] then exit 1;
   let events_per_sec = float_of_int seq.Fleet_run.sim_events /. seq.Fleet_run.run_seconds in
   let jobs_per_sec (o : Fleet_run.outcome) =
     float_of_int o.Fleet_run.audit_jobs /. o.Fleet_run.audit_seconds

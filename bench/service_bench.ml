@@ -60,30 +60,25 @@ let () =
   Metrics.reset ();
   Avm_crypto.Sigcache.clear ();
   let on = Service_run.run spec in
-  let stats = on.Service_run.cache in
+  let stats = Option.get on.Service_run.cache in
   Printf.printf "cache on:  %d entries ingested in %.2fs service time (hits %d, misses %d)\n%!"
     on.Service_run.entries_ingested on.Service_run.service_seconds stats.Replay_cache.hits
     stats.Replay_cache.misses;
   (* --- hard checks -------------------------------------------------------- *)
   let sig_on = Service_run.signature on and sig_off = Service_run.signature off in
-  if sig_on <> sig_off then begin
-    Printf.eprintf "FATAL: verdict vector differs cache-on vs cache-off\n";
-    exit 1
-  end;
-  if on.Service_run.missed <> [] || off.Service_run.missed <> [] then begin
-    Printf.eprintf "FATAL: %d/%d cheats went undetected (on/off)\n"
-      (List.length on.Service_run.missed)
-      (List.length off.Service_run.missed);
-    exit 1
-  end;
-  if on.Service_run.false_flagged <> [] || off.Service_run.false_flagged <> [] then begin
-    Printf.eprintf "FATAL: honest sessions were flagged\n";
-    exit 1
-  end;
-  if on.Service_run.lag_p99 > !max_lag then begin
-    Printf.eprintf "FATAL: p99 audit lag %d exceeds bound %d\n" on.Service_run.lag_p99 !max_lag;
-    exit 1
-  end;
+  let fails =
+    Avm_scenario.Fleet_harness.gate
+      ~same:("cache on and cache off", sig_on, sig_off)
+      ~checks:
+        [
+          ( on.Service_run.lag_p99 <= !max_lag,
+            Printf.sprintf "p99 audit lag %d exceeds bound %d" on.Service_run.lag_p99 !max_lag );
+        ]
+      ~missed:(on.Service_run.missed @ off.Service_run.missed)
+      ~false_flagged:(on.Service_run.false_flagged @ off.Service_run.false_flagged) ()
+  in
+  List.iter (fun m -> prerr_endline ("FATAL: " ^ m)) fails;
+  if fails <> [] then exit 1;
   (* --- rates -------------------------------------------------------------- *)
   let service_s = max 1e-6 on.Service_run.service_seconds in
   let entries_per_sec = float_of_int on.Service_run.entries_ingested /. service_s in

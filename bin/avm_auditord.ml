@@ -91,41 +91,36 @@ let () =
     o.Service_run.lag_p99 o.Service_run.lag_max !max_lag;
   say "  backpressure: engaged %d, refusals %d" o.Service_run.backpressure_engaged
     o.Service_run.backpressure_refusals;
-  say "  cache: %d hits, %d misses, %d instructions saved" o.Service_run.cache_hits
-    o.Service_run.cache.Avm_core.Replay_cache.misses
-    o.Service_run.cache.Avm_core.Replay_cache.instructions_saved;
+  Option.iter
+    (fun (c : Avm_core.Replay_cache.stats) ->
+      say "  cache: %d hits, %d misses, %d instructions saved" c.hits c.misses
+        c.instructions_saved)
+    o.Service_run.cache;
   List.iter
     (fun (id, us) -> say "  detected %s %.0f virtual us after injection" id us)
     o.Service_run.detection_latency_us;
   say "  verdict signature: %s" s;
-  let fail = ref false in
-  let check cond fmt =
-    Printf.ksprintf
-      (fun msg ->
-        if not cond then begin
-          prerr_endline ("avm_auditord: FAIL: " ^ msg);
-          fail := true
-        end)
-      fmt
+  let same =
+    if !check_jobs > 0 then begin
+      let s2 = Service_run.signature (Service_run.run ~par:(par !check_jobs) spec) in
+      say "  verdict signature at jobs %d: %s" !check_jobs s2;
+      Some (Printf.sprintf "pump jobs %d and %d" !jobs !check_jobs, s, s2)
+    end
+    else None
   in
-  check (o.Service_run.missed = []) "%d cheats went undetected"
-    (List.length o.Service_run.missed);
-  check
-    (o.Service_run.false_flagged = [])
-    "%d honest sessions were flagged"
-    (List.length o.Service_run.false_flagged);
-  check
-    (o.Service_run.lag_p99 <= !max_lag)
-    "p99 audit lag %d exceeds bound %d" o.Service_run.lag_p99 !max_lag;
-  if !check_jobs > 0 then begin
-    let o2 = Service_run.run ~par:(par !check_jobs) spec in
-    let s2 = Service_run.signature o2 in
-    say "  verdict signature at jobs %d: %s" !check_jobs s2;
-    check (s = s2) "verdict vector differs between pump jobs %d and %d" !jobs !check_jobs
-  end;
+  let fails =
+    Avm_scenario.Fleet_harness.gate ?same
+      ~checks:
+        [
+          ( o.Service_run.lag_p99 <= !max_lag,
+            Printf.sprintf "p99 audit lag %d exceeds bound %d" o.Service_run.lag_p99 !max_lag );
+        ]
+      ~missed:o.Service_run.missed ~false_flagged:o.Service_run.false_flagged ()
+  in
   if !metrics <> "" then begin
     Avm_obs.Report.write_file !metrics;
     say "  metrics written to %s" !metrics
   end;
-  if !fail then exit 1;
+  List.iter (fun m -> prerr_endline ("avm_auditord: FAIL: " ^ m)) fails;
+  if fails <> [] then exit 1;
   say "service smoke OK"

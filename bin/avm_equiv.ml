@@ -79,34 +79,20 @@ let () =
     (List.length o1.Equiv.proofs) o1.Equiv.proofs_verified o1.Equiv.ex_messages o1.Equiv.ex_auths
     o1.Equiv.ex_bytes;
   say "  signature: %s (jobs 1) / %s (jobs 4)" s1 s4;
-  let fail = ref false in
-  let check cond fmt =
-    Printf.ksprintf
-      (fun msg ->
-        if not cond then begin
-          prerr_endline ("avm_equiv: FAIL: " ^ msg);
-          fail := true
-        end)
-      fmt
+  let proofs = List.length o1.Equiv.proofs in
+  let fails =
+    Avm_scenario.Fleet_harness.gate
+      ~same:("auditor jobs 1 and jobs 4", s1, s4)
+      ~checks:
+        [
+          ( o1.Equiv.proofs_verified = proofs,
+            Printf.sprintf "%d of %d proofs failed standalone verification"
+              (proofs - o1.Equiv.proofs_verified) proofs );
+          ( proofs = List.length o1.Equiv.forkers,
+            Printf.sprintf "%d proofs for %d forkers" proofs (List.length o1.Equiv.forkers) );
+        ]
+      ~missed:(Equiv.missed o1) ~false_flagged:o1.Equiv.false_flags ()
   in
-  check (s1 = s4) "verdict/proof signature differs between auditor jobs 1 and jobs 4";
-  List.iter
-    (fun (f : Equiv.forker) ->
-      match List.assoc_opt f.Equiv.node o1.Equiv.exchange_detected with
-      | None -> check false "forker n%d never caught by the exchange" f.Equiv.node
-      | Some e ->
-        check (e = f.Equiv.epoch) "forker n%d (fork epoch %d) caught only at epoch %d"
-          f.Equiv.node f.Equiv.epoch e)
-    o1.Equiv.forkers;
-  check (o1.Equiv.false_flags = []) "%d honest nodes were accused"
-    (List.length o1.Equiv.false_flags);
-  check
-    (o1.Equiv.proofs_verified = List.length o1.Equiv.proofs)
-    "%d of %d proofs failed standalone verification"
-    (List.length o1.Equiv.proofs - o1.Equiv.proofs_verified)
-    (List.length o1.Equiv.proofs);
-  check
-    (List.length o1.Equiv.proofs = List.length o1.Equiv.forkers)
-    "%d proofs for %d forkers" (List.length o1.Equiv.proofs) (List.length o1.Equiv.forkers);
-  if !fail then exit 1;
+  List.iter (fun m -> prerr_endline ("avm_equiv: FAIL: " ^ m)) fails;
+  if fails <> [] then exit 1;
   say "equiv smoke OK"

@@ -72,26 +72,11 @@ let () =
     o1.Fleet_run.verdicts;
   Hashtbl.iter (fun d n -> say "  failing detail (%dx): %s" n d) details;
   say "  verdict signature: %s (jobs 1) / %s (jobs 4)" s1 s4;
-  let fail = ref false in
-  let check cond fmt =
-    Printf.ksprintf
-      (fun msg ->
-        if not cond then begin
-          prerr_endline ("avm_fleet: FAIL: " ^ msg);
-          fail := true
-        end)
-      fmt
+  let fails =
+    Avm_scenario.Fleet_harness.gate ~reports:o1.Fleet_run.reports
+      ~same:("auditor jobs 1 and jobs 4", s1, s4)
+      ~missed:o1.Fleet_run.missed ~false_flagged:o1.Fleet_run.false_flagged ()
   in
-  check (s1 = s4) "verdict vector differs between auditor jobs 1 and jobs 4";
-  List.iter
-    (fun (r : Fleet_run.epoch_report) ->
-      check
-        (r.Fleet_run.coverage = 1.0)
-        "epoch %d coverage %.3f < 1.0" r.Fleet_run.epoch r.Fleet_run.coverage)
-    o1.Fleet_run.reports;
-  check (o1.Fleet_run.missed = []) "%d cheats went undetected" (List.length o1.Fleet_run.missed);
-  check
-    (o1.Fleet_run.false_flagged = [])
-    "%d honest nodes were flagged" (List.length o1.Fleet_run.false_flagged);
-  if !fail then exit 1;
+  List.iter (fun m -> prerr_endline ("avm_fleet: FAIL: " ^ m)) fails;
+  if fails <> [] then exit 1;
   say "fleet smoke OK"

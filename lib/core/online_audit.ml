@@ -68,9 +68,9 @@ module Session = struct
     | R_engine of Replay.engine
     | R_boundary of { snapshot_seq : int; digest : string; at_icount : int; entry_seq : int }
 
-  (* Chain-only syntactic mode for sessions opened without a ctx (the
-     wrapper path): the full stream would false-flag honest logs whose
-     peer certificates the caller never supplied. *)
+  (* Chain-only syntactic mode for sessions opened without a ctx (as
+     Figure 8's in-game auditors are): the full stream would false-flag
+     honest logs whose peer certificates the caller never supplied. *)
   type syn =
     | Syn_full of Audit.syn_stream
     | Syn_chain of { mutable prev : string; mutable expected : int }
@@ -300,8 +300,7 @@ module Session = struct
   (* A cache hit strands the engine (the skipped chunk's end state was
      never computed), so hits are only taken when downloaded snapshots
      can re-seat replay at the boundary. *)
-  let hits_usable t =
-    t.cache <> None && t.snapshot_of <> None && Replay_cache.is_enabled ()
+  let hits_usable t = t.cache <> None && t.snapshot_of <> None
 
   let retire_chunk t c =
     t.retired <- t.retired + c.c_n;
@@ -358,7 +357,7 @@ module Session = struct
      chunk's start. *)
   let complete_chunk t c e =
     (match t.cache with
-    | Some cache when Replay_cache.is_enabled () && c.c_end <> None ->
+    | Some cache when c.c_end <> None ->
       let instr = Replay.replayed_instructions e - c.c_start_instr in
       let p = match c.c_print with Some p -> p | None -> fingerprint t c in
       (match c.c_spot with
@@ -530,33 +529,3 @@ module Session = struct
               };
         }
 end
-
-(* --- the pre-session surface, kept where tests pin it ---------------- *)
-
-type t = Session.t
-
-let create ~image ?mem_words ?replay_rate ?(par = Audit_ctx.sequential) ~peers () =
-  (* The chain pre-verification [par] used to buy is now inline and
-     always on; extra lanes have nothing left to parallelize here. *)
-  ignore par.Audit_ctx.jobs;
-  Session.open_session ~image ?mem_words ?replay_rate ~peers ()
-
-let observe_log t log = ignore (Session.ingest t log)
-
-let advance t ~budget_instructions =
-  match Session.step t ~budget_instructions with
-  | Some (Diverged d) -> `Fault d
-  | Some (Tampered _ | Equivocated _) | None -> `Ok
-
-let lag_entries t = Session.lag_entries t
-let replayed_instructions t = Session.total_instructions t
-
-let fault t =
-  match (Session.status t).verdict with Some (Diverged d) -> Some d | _ -> None
-
-let tamper_detected t =
-  match (Session.status t).verdict with
-  | Some (Tampered { reason; _ }) -> Some reason
-  | _ -> None
-
-let close t = ignore (Session.close t)

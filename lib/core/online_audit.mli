@@ -145,36 +145,3 @@ module Session : sig
       chunk holding the offending entry. [None] while the session is
       clean, or when the session was opened without [ctx]. *)
 end
-
-(** {1 The pre-session surface}
-
-    Thin wrappers over {!Session}, kept because tests and Figure 8 pin
-    them. [par] is accepted and ignored: the chain pre-verification it
-    used to enable is now inline and always on. *)
-
-type t = Session.t
-
-val create :
-  image:int array ->
-  ?mem_words:int ->
-  ?replay_rate:float ->
-  ?par:Audit_ctx.parallelism ->
-  peers:(int * string) list ->
-  unit ->
-  t
-
-val observe_log : t -> Avm_tamperlog.Log.t -> unit
-(** [Session.ingest] discarding the backpressure signal (the default
-    watermark is high enough that a hand-driven auditor never hits
-    it). *)
-
-val advance : t -> budget_instructions:int -> [ `Ok | `Fault of Replay.divergence ]
-(** [Session.step], mapping a [Diverged] verdict to [`Fault]. A
-    [Tampered] verdict surfaces through {!tamper_detected}, as the old
-    parallel chain pre-verification did. *)
-
-val lag_entries : t -> int
-val replayed_instructions : t -> int
-val fault : t -> Replay.divergence option
-val tamper_detected : t -> string option
-val close : t -> unit

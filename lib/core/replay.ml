@@ -341,7 +341,7 @@ let default_fuel = 200_000_000
    are remembered. *)
 let with_cache ?cache ~fuel ~print ~replay () =
   match cache with
-  | Some c when Replay_cache.is_enabled () -> (
+  | Some c -> (
     let p = print () in
     match Replay_cache.find c ~fuel p with
     | `Hit { Replay_cache.instructions; entries_consumed } ->
@@ -428,7 +428,7 @@ let replay_chunks_raw ~image ?mem_words ?start ?(fuel = default_fuel) ?strict_la
 let replay_chunks ~image ?mem_words ?start ?(fuel = default_fuel) ?strict_landmarks ~peers
     ?cache ~chunks () =
   match cache with
-  | Some _ when Replay_cache.is_enabled () ->
+  | Some _ ->
     let entries = List.concat (List.of_seq chunks) in
     let machine =
       match start with

@@ -87,12 +87,11 @@ val replay_chunks :
     forced, so compressed segments inflate only as the replay reaches
     them. [replay] is [replay_chunks] over a singleton stream.
 
-    With [cache] (and the {!Replay_cache} kill-switch on) the stream
-    is forced up front, fingerprinted against the start state, and the
-    memo protocol applies: a hit returns the original replay's
-    [Verified] payload without executing an instruction, a
-    spot-designated or missing fingerprint replays fully, and only
-    verified outcomes are remembered. *)
+    With [cache] the stream is forced up front, fingerprinted against
+    the start state, and the memo protocol applies: a hit returns the
+    original replay's [Verified] payload without executing an
+    instruction, a spot-designated or missing fingerprint replays
+    fully, and only verified outcomes are remembered. *)
 
 val with_cache :
   ?cache:Replay_cache.t ->
@@ -103,7 +102,7 @@ val with_cache :
   outcome
 (** The memo protocol itself, for callers (e.g. {!Spot_check}) that
     fingerprint without materializing entries: [print] is forced only
-    when a cache is present and enabled; [replay] only on miss or
+    when a cache is present; [replay] only on miss or
     spot-check. Guarantees the outcome equals what [replay ()] would
     return, except against a poisoned cache entry on a non-designated
     fingerprint — the window {!Replay_cache}'s seeded spot checks

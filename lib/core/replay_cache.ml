@@ -27,10 +27,6 @@ module Metrics = Avm_obs.Metrics
 module Sha256 = Avm_crypto.Sha256
 open Avm_tamperlog
 
-let enabled = Atomic.make true
-let set_enabled b = Atomic.set enabled b
-let is_enabled () = Atomic.get enabled
-
 type cached = { instructions : int; entries_consumed : int }
 
 (* What one verified replay established for a fingerprint key. The
@@ -271,55 +267,51 @@ let miss t =
   `Miss
 
 let find t ~fuel (p : print) =
-  if not (Atomic.get enabled) then `Miss
-  else begin
-    let found = with_stripe t p.key (fun s -> Hashtbl.find_opt s.tbl p.key) in
-    match found with
-    | Some { s_peers; s_peers_sensitive; s_post; s_outputs; s_counts = c }
-      when String.equal s_post p.post_state
-           && String.equal s_outputs p.outputs
-           && ((not s_peers_sensitive) || String.equal s_peers p.peers)
-           && c.instructions <= fuel ->
-      if spot_due t p then begin
-        Atomic.incr t.c_spots;
-        Metrics.incr "replay.cache_spot_checks";
-        `Spot c
-      end
-      else begin
-        Atomic.incr t.c_hits;
-        ignore (Atomic.fetch_and_add t.c_bytes p.bytes);
-        ignore (Atomic.fetch_and_add t.c_instr c.instructions);
-        Metrics.incr "replay.cache_hits";
-        Metrics.incr ~by:p.bytes "replay.cache_bytes_saved";
-        `Hit c
-      end
-    | Some _ ->
-      (* Fingerprint collision with different claims: the canonical
-         cheat shape. Full replay will produce the honest claims and
-         diverge from this chunk's forged ones. *)
-      Atomic.incr t.c_mismatches;
-      Metrics.incr "replay.cache_claim_mismatches";
-      miss t
-    | None -> miss t
-  end
+  let found = with_stripe t p.key (fun s -> Hashtbl.find_opt s.tbl p.key) in
+  match found with
+  | Some { s_peers; s_peers_sensitive; s_post; s_outputs; s_counts = c }
+    when String.equal s_post p.post_state
+         && String.equal s_outputs p.outputs
+         && ((not s_peers_sensitive) || String.equal s_peers p.peers)
+         && c.instructions <= fuel ->
+    if spot_due t p then begin
+      Atomic.incr t.c_spots;
+      Metrics.incr "replay.cache_spot_checks";
+      `Spot c
+    end
+    else begin
+      Atomic.incr t.c_hits;
+      ignore (Atomic.fetch_and_add t.c_bytes p.bytes);
+      ignore (Atomic.fetch_and_add t.c_instr c.instructions);
+      Metrics.incr "replay.cache_hits";
+      Metrics.incr ~by:p.bytes "replay.cache_bytes_saved";
+      `Hit c
+    end
+  | Some _ ->
+    (* Fingerprint collision with different claims: the canonical
+       cheat shape. Full replay will produce the honest claims and
+       diverge from this chunk's forged ones. *)
+    Atomic.incr t.c_mismatches;
+    Metrics.incr "replay.cache_claim_mismatches";
+    miss t
+  | None -> miss t
 
 let remember t (p : print) ?(peers_sensitive = true) ~instructions ~entries_consumed () =
-  if Atomic.get enabled then
-    with_stripe t p.key (fun s ->
-        if not (Hashtbl.mem s.tbl p.key) then begin
-          while Hashtbl.length s.tbl >= t.stripe_cap && not (Queue.is_empty s.order) do
-            Hashtbl.remove s.tbl (Queue.pop s.order)
-          done;
-          Hashtbl.replace s.tbl p.key
-            {
-              s_peers = p.peers;
-              s_peers_sensitive = peers_sensitive;
-              s_post = p.post_state;
-              s_outputs = p.outputs;
-              s_counts = { instructions; entries_consumed };
-            };
-          Queue.add p.key s.order
-        end)
+  with_stripe t p.key (fun s ->
+      if not (Hashtbl.mem s.tbl p.key) then begin
+        while Hashtbl.length s.tbl >= t.stripe_cap && not (Queue.is_empty s.order) do
+          Hashtbl.remove s.tbl (Queue.pop s.order)
+        done;
+        Hashtbl.replace s.tbl p.key
+          {
+            s_peers = p.peers;
+            s_peers_sensitive = peers_sensitive;
+            s_post = p.post_state;
+            s_outputs = p.outputs;
+            s_counts = { instructions; entries_consumed };
+          };
+        Queue.add p.key s.order
+      end)
 
 (* Whether a replay thunk emitted guest packets, read off a process
    atomic the replay engine bumps per emission (mapped or not) via

@@ -29,11 +29,11 @@
     keeps verdict vectors identical across job counts.
 
     Domain-safety follows the {!Avm_crypto.Sigcache} design — bounded
-    FIFO eviction, a global [Atomic] kill-switch so cache-on/off
-    verdict equality is provable — except the store is genuinely
-    shared (lock-striped) rather than per-domain, because one epoch's
+    FIFO eviction — except the store is genuinely shared
+    (lock-striped) rather than per-domain, because one epoch's
     (target, witness) jobs must dedup against each other across
-    {!Witness.run_sharded} worker domains. *)
+    {!Witness.run_sharded} worker domains. There is no global switch:
+    an audit without a cache is one that is given none. *)
 
 type t
 
@@ -46,12 +46,6 @@ val create : ?capacity:int -> ?stripes:int -> ?spot_rate:int -> ?seed:int64 -> u
     [seed] keys the designation so an adversary cannot predict — or a
     test can force — which chunks escape the cache. *)
 
-val set_enabled : bool -> unit
-(** Global kill-switch (all caches, every domain). Off by one
-    [Atomic.set]: every lookup misses, every store is skipped, and
-    audits behave exactly as if no cache were threaded through. *)
-
-val is_enabled : unit -> bool
 val clear : t -> unit
 val size : t -> int
 val capacity : t -> int

@@ -100,7 +100,7 @@ let with_range_cache ?cache ~fuel ~image ?mem_words ?strict_landmarks ~peers ~lo
     ~pre_state ~from ~upto ~(on_hit : Replay_cache.cached -> 'a) ~(full : unit -> 'a)
     ~(outcome_of : 'a -> Replay.outcome) () =
   match cache with
-  | Some c when Replay_cache.is_enabled () -> (
+  | Some c -> (
     let t0 = Avm_obs.Clock.now_s () in
     let f = Replay_cache.fp_create ~image ?mem_words ?strict_landmarks ~peers ~pre_state () in
     Log.iter_range log ~from ~upto (Replay_cache.fp_feed f);

@@ -12,7 +12,10 @@
     — and never, if the fork is in the last epoch. The cross-witness
     exchange ({!Avm_core.Witness.exchange}) pairs the two heads the
     moment they are gossiped and yields a transferable
-    {!Avm_core.Evidence.Equivocation} proof in the {e same} epoch. *)
+    {!Avm_core.Evidence.Equivocation} proof in the {e same} epoch.
+
+    A plugin over {!Fleet_harness}: only the fork windows, the
+    commitment protocol and the exchange are its own. *)
 
 type spec = {
   nodes : int;
@@ -33,8 +36,6 @@ type forker = { node : int; epoch : int  (** the epoch it forks at *) }
 
 type outcome = {
   spec : spec;
-  net : Avm_netsim.Net.t;
-  assignment : Avm_core.Witness.assignment;
   verdicts : Avm_core.Witness.verdict list;  (** ordinary audit jobs *)
   forkers : forker list;
   exchange_detected : (int * int) list;
@@ -65,6 +66,10 @@ val run : ?par:Avm_core.Audit_ctx.parallelism -> spec -> outcome
     and one round of cross-witness exchange run. Stores persist
     across epochs. @raise Invalid_argument if [witnesses < 2] or
     [epochs < 1]. *)
+
+val missed : outcome -> int list
+(** Forkers the exchange did not catch in their own fork epoch — the
+    [missed] list {!Fleet_harness.gate} takes. *)
 
 val signature : outcome -> string
 (** Digest of the full verdict vector, the proof set and the

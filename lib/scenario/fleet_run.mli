@@ -21,7 +21,10 @@
       on the sharded auditor pool.
 
     Verdicts are bit-deterministic in [seed] and independent of the
-    auditor worker count ({!signature} compares runs). *)
+    auditor worker count ({!signature} compares runs).
+
+    A plugin over {!Fleet_harness}: only the poke adversary and the
+    shared replay cache are its own. *)
 
 module Faults = Avm_netsim.Faults
 
@@ -48,7 +51,7 @@ val default_spec : spec
 
 type cheat = { node : int; epoch : int; slot : int; value : int }
 
-type epoch_report = {
+type epoch_report = Fleet_harness.epoch_report = {
   epoch : int;
   coverage : float;  (** fraction of nodes with ≥ 1 verdict this epoch *)
   jobs : int;
@@ -58,7 +61,6 @@ type epoch_report = {
 type outcome = {
   spec : spec;
   net : Avm_netsim.Net.t;
-  assignment : Avm_core.Witness.assignment;
   verdicts : Avm_core.Witness.verdict list;  (** all epochs, in job order *)
   reports : epoch_report list;
   cheats : cheat list;  (** ground truth *)

@@ -1,46 +1,24 @@
 open Avm_core
+module H = Fleet_harness
 module Net = Avm_netsim.Net
-module Topology = Avm_netsim.Topology
-module Sim = Avm_netsim.Sim
 module Rng = Avm_util.Rng
-module Identity = Avm_crypto.Identity
 module Daemon = Avm_service.Daemon
 module Log = Avm_tamperlog.Log
-module Entry = Avm_tamperlog.Entry
 
+(* Field docs live in the interface. *)
 type spec = {
-  sessions : int;
-  epochs : int;
-  epoch_us : float;
-  activity : float;
-  cheat_frac : float;
-  tamper_frac : float;  (* fraction of cheats that rewrite the log in place *)
-  seed : int64;
-  rsa_bits : int;
-  key_pool : int;
-  max_lag : int;
-  budget : int;  (* instructions per session per pump *)
-  replay_rate : float;
-  dedup : bool;
-  spot_rate : int;
+  sessions : int; epochs : int; epoch_us : float;
+  activity : float; cheat_frac : float; tamper_frac : float;
+  seed : int64; rsa_bits : int; key_pool : int;
+  max_lag : int; budget : int; replay_rate : float; dedup : bool; spot_rate : int;
 }
 
 let default_spec =
   {
-    sessions = 200;
-    epochs = 3;
-    epoch_us = 1_000_000.0;
-    activity = 0.10;
-    cheat_frac = 0.05;
-    tamper_frac = 0.4;
-    seed = 11L;
-    rsa_bits = 512;
-    key_pool = 32;
-    max_lag = 4096;
-    budget = 5_000_000;
-    replay_rate = 1.0;
-    dedup = true;
-    spot_rate = 8;
+    sessions = 200; epochs = 3; epoch_us = 1_000_000.0;
+    activity = 0.10; cheat_frac = 0.05; tamper_frac = 0.4;
+    seed = 11L; rsa_bits = 512; key_pool = 32;
+    max_lag = 4096; budget = 5_000_000; replay_rate = 1.0; dedup = true; spot_rate = 8;
   }
 
 type cheat_kind = Poke of { slot : int; value : int } | Rewrite
@@ -48,58 +26,14 @@ type cheat_kind = Poke of { slot : int; value : int } | Rewrite
 type cheat = { node : int; epoch : int; kind : cheat_kind }
 
 type outcome = {
-  spec : spec;
-  events : Daemon.event list;  (* in delivery order *)
-  cheats : cheat list;
-  detected : int list;
-  missed : int list;
-  false_flagged : int list;
-  entries_ingested : int;
-  lag_samples : int list;  (* every post-pump per-session lag *)
-  lag_p50 : int;
-  lag_p99 : int;
-  lag_max : int;
+  spec : spec; events : Daemon.event list;
+  cheats : cheat list; detected : int list; missed : int list; false_flagged : int list;
+  entries_ingested : int; lag_p50 : int; lag_p99 : int; lag_max : int;
   detection_latency_us : (string * float) list;
-      (** per detected cheater: virtual microseconds from the mid-epoch
-          injection to verdict delivery *)
-  backpressure_engaged : int;
-  backpressure_refusals : int;
-  cache : Replay_cache.stats;
-  cache_hits : int;
-  sim_events : int;
-  run_seconds : float;  (* wall clock spent simulating the fleet *)
-  service_seconds : float;  (* wall clock spent in ingest + pump *)
-  drain_rounds : int;
+  backpressure_engaged : int; backpressure_refusals : int;
+  cache : Replay_cache.stats option;
+  sim_events : int; run_seconds : float; service_seconds : float; drain_rounds : int;
 }
-
-(* The driver's own random stream — distinct from the network's, so
-   changing activity or cheats never reshuffles the simulation. *)
-let driver_rng seed = Rng.create (Int64.logxor seed 0x736572766963655FL)
-
-let pick_cheats rng ~sessions ~epochs ~cheat_frac ~tamper_frac =
-  let count =
-    if cheat_frac <= 0.0 then 0
-    else max 1 (int_of_float ((cheat_frac *. float_of_int sessions) +. 0.5))
-  in
-  let chosen = Hashtbl.create (max 16 count) in
-  let out = ref [] in
-  while Hashtbl.length chosen < min count sessions do
-    let node = Rng.int_in rng 0 (sessions - 1) in
-    if not (Hashtbl.mem chosen node) then begin
-      Hashtbl.add chosen node ();
-      let epoch = Rng.int_in rng 1 epochs in
-      let kind =
-        if Rng.float rng 1.0 < tamper_frac then Rewrite
-        else
-          (* A kv slot the workload never writes (ops use 0..250):
-             invisible to the guest's own outputs, only replay against
-             the sealed snapshot digest surfaces it. *)
-          Poke { slot = Rng.int_in rng 251 255; value = 1 + Rng.int_in rng 0 65534 }
-      in
-      out := { node; epoch; kind } :: !out
-    end
-  done;
-  List.sort (fun a b -> compare a.node b.node) !out
 
 let percentile sorted p =
   let n = List.length sorted in
@@ -112,194 +46,145 @@ let run ?par spec =
   (* Producers are paired i <-> i xor 1: every node's epoch report (and
      its acks) goes to its partner, so one peer certificate per session
      covers the whole RECV/ACK surface. *)
-  let adjacency = Array.init spec.sessions (fun i -> [| i lxor 1 |]) in
-  let topology = Topology.of_adjacency adjacency in
-  let config = Config.make ~snapshot_every_us:None Config.Avmm_rsa768 in
-  let image = Guests.fleet_image () in
-  let names = List.init spec.sessions (fun i -> Printf.sprintf "n%d" i) in
-  let images = List.init spec.sessions (fun _ -> image.Avm_isa.Asm.words) in
-  let net =
-    Net.create ~seed:spec.seed ~rsa_bits:spec.rsa_bits ~key_pool:spec.key_pool
-      ~mem_words:Guests.fleet_mem_words ~log_backend:Avm_tamperlog.Segment_store.Memory
-      ~topology ~config ~images ~names ()
+  let w =
+    H.create ~seed:spec.seed ~rsa_bits:spec.rsa_bits ~key_pool:spec.key_pool
+      (Array.init spec.sessions (fun i -> [| i lxor 1 |]))
   in
-  let rng = driver_rng spec.seed in
+  let rng = H.driver_rng ~salt:0x736572766963655FL spec.seed in
   let cheats =
-    pick_cheats rng ~sessions:spec.sessions ~epochs:spec.epochs ~cheat_frac:spec.cheat_frac
-      ~tamper_frac:spec.tamper_frac
+    H.pick rng ~nodes:spec.sessions ~epochs:spec.epochs ~frac:spec.cheat_frac
+      (fun ~node ~epoch ->
+        let kind =
+          if Rng.float rng 1.0 < spec.tamper_frac then Rewrite
+          else
+            (* A kv slot the workload never writes (ops use 0..250):
+               invisible to the guest's own outputs, only replay against
+               the sealed snapshot digest surfaces it. *)
+            Poke { slot = Rng.int_in rng 251 255; value = 1 + Rng.int_in rng 0 65534 }
+        in
+        { node; epoch; kind })
   in
   let vals_addr = Guests.fleet_symbol "g_vals" in
-  let avmm_of i = Net.node_avmm (Net.node net i) in
-  let cert_of i = Identity.certificate (Avmm.identity (avmm_of i)) in
-  let name_of i = Net.node_name (Net.node net i) in
-  (* Baseline: snapshot seq 1 for every node before epoch 1, so each
-     epoch seals exactly one replay chunk and chunk indexes line up
-     with epochs. *)
-  Array.iter (fun n -> ignore (Avmm.take_snapshot (Net.node_avmm n))) (Net.nodes net);
   let now_us = ref 0.0 in
-  let injected_at = Hashtbl.create 16 in (* session id -> virtual us of injection *)
-  let events = ref [] in
-  let latencies = ref [] in
+  let injected_at = Hashtbl.create 16 (* session id -> virtual us of injection *) in
+  let events = ref [] and latencies = ref [] in
   let on_verdict (ev : Daemon.event) =
     events := ev :: !events;
-    match Hashtbl.find_opt injected_at ev.Daemon.ev_session with
-    | Some t0 -> latencies := (ev.Daemon.ev_session, !now_us -. t0) :: !latencies
+    match Hashtbl.find_opt injected_at ev.ev_session with
+    | Some t0 -> latencies := (ev.ev_session, !now_us -. t0) :: !latencies
     | None -> ()
   in
-  let cache_was_enabled = Replay_cache.is_enabled () in
-  Replay_cache.set_enabled spec.dedup;
-  let cache = Replay_cache.create ~spot_rate:spec.spot_rate ~seed:spec.seed () in
-  let daemon =
-    Daemon.create ~max_lag_entries:spec.max_lag ~cache ~on_verdict ()
+  (* Dedup off means no cache at all: every session replays in full. *)
+  let cache =
+    if spec.dedup then Some (Replay_cache.create ~spot_rate:spec.spot_rate ~seed:spec.seed ())
+    else None
   in
+  let daemon = Daemon.create ~max_lag_entries:spec.max_lag ?cache ~on_verdict () in
   let metric name = Avm_obs.Metrics.counter (Avm_obs.Metrics.snapshot ()) name in
   let bp_engaged0 = metric "online_audit.backpressure_engaged" in
   let bp_refused0 = metric "online_audit.backpressure_refusals" in
   for i = 0 to spec.sessions - 1 do
     let partner = i lxor 1 in
     let ctx =
-      Audit.ctx ~node_cert:(cert_of i)
-        ~peer_certs:[ (name_of partner, cert_of partner) ]
-        ()
+      Audit.ctx ~node_cert:(H.cert w i) ~peer_certs:[ (H.name w partner, H.cert w partner) ] ()
     in
-    let avmm = avmm_of i in
-    Daemon.attach daemon ~id:(name_of i) ~ctx ~image:image.Avm_isa.Asm.words
-      ~mem_words:Guests.fleet_mem_words ~replay_rate:spec.replay_rate
+    let avmm = H.avmm w i in
+    Daemon.attach daemon ~id:(H.name w i) ~ctx ~image:w.image ~mem_words:Guests.fleet_mem_words
+      ~replay_rate:spec.replay_rate
       ~snapshot_of:(fun () -> Avmm.snapshots avmm)
-      ~peers:(Net.peers_of net i) ()
+      ~peers:(Net.peers_of w.net i) ()
   done;
-  let run_seconds = ref 0.0 in
   let service_seconds = ref 0.0 in
   let lag_samples = ref [] in
-  let ingest_all () =
-    for i = 0 to spec.sessions - 1 do
-      ignore (Daemon.ingest daemon ~id:(name_of i) (Avmm.log (avmm_of i)))
-    done
+  let serve f =
+    let t0 = Unix.gettimeofday () in
+    f ();
+    service_seconds := !service_seconds +. (Unix.gettimeofday () -. t0)
   in
-  let pump_and_sample () =
+  let ingest_and_pump () =
+    for i = 0 to spec.sessions - 1 do
+      ignore (Daemon.ingest daemon ~id:(H.name w i) (Avmm.log (H.avmm w i)))
+    done;
     ignore (Daemon.pump daemon ~budget_instructions:spec.budget ?par () : int);
     List.iter
-      (fun id ->
-        lag_samples :=
-          (Daemon.session_status daemon ~id).Online_audit.lag_entries :: !lag_samples)
+      (fun id -> lag_samples := (Daemon.session_status daemon ~id).lag_entries :: !lag_samples)
       (Daemon.session_ids daemon)
   in
-  for epoch = 1 to spec.epochs do
-    let epoch_start = float_of_int (epoch - 1) *. spec.epoch_us in
-    let epoch_mid = epoch_start +. (spec.epoch_us /. 2.0) in
-    let epoch_end = float_of_int epoch *. spec.epoch_us in
-    let t0 = Unix.gettimeofday () in
-    (* Every cheater is active in its cheat epoch (a Rewrite needs
-       fresh unobserved entries to corrupt); the rest of the activity
-       is seeded. *)
+  (* Every cheater is active in its cheat epoch (a Rewrite needs fresh
+     unobserved entries to corrupt); the rest of the activity is
+     seeded. *)
+  let wake epoch =
     List.iter
       (fun c ->
         if c.epoch = epoch then
-          Net.queue_input net c.node
-            (Guests.fleet_input_op ~slot:(Rng.int_in rng 0 250)
-               ~value:(Rng.int_in rng 0 65535)))
-      cheats;
-    for i = 0 to spec.sessions - 1 do
-      if Rng.float rng 1.0 < spec.activity then
-        for _ = 1 to 1 + Rng.int_in rng 0 2 do
-          let slot = Rng.int_in rng 0 250 in
-          let value = Rng.int_in rng 0 65535 in
-          Net.queue_input net i (Guests.fleet_input_op ~slot ~value)
-        done
-    done;
-    Net.run net ~until_us:epoch_mid ();
-    now_us := epoch_mid;
+          Net.queue_input w.net c.node
+            (Guests.fleet_input_op ~slot:(Rng.int_in rng 0 250) ~value:(Rng.int_in rng 0 65535)))
+      cheats
+  in
+  let inject epoch mid_us =
     List.iter
       (fun c ->
         if c.epoch = epoch then begin
-          Hashtbl.replace injected_at (name_of c.node) epoch_mid;
+          Hashtbl.replace injected_at (H.name w c.node) mid_us;
           match c.kind with
-          | Poke { slot; value } ->
-            Avmm.poke (avmm_of c.node) ~addr:(vals_addr + slot) ~value
+          | Poke { slot; value } -> Avmm.poke (H.avmm w c.node) ~addr:(vals_addr + slot) ~value
           | Rewrite ->
             (* Rewrite the newest entry in place — it is still in the
                unobserved range, so the syntactic stream must catch it
                at the next ingest. *)
-            let log = Avmm.log (avmm_of c.node) in
-            Log.tamper_replace log (Log.length log) (Entry.Note "rewritten")
+            let log = Avmm.log (H.avmm w c.node) in
+            Log.tamper_replace log (Log.length log) (Avm_tamperlog.Entry.Note "rewritten")
         end)
-      cheats;
-    Net.run net ~until_us:epoch_end ();
-    now_us := epoch_end;
-    (* Seal the epoch's chunk on every node, then stream it in. *)
-    Array.iter (fun n -> ignore (Avmm.take_snapshot (Net.node_avmm n))) (Net.nodes net);
-    run_seconds := !run_seconds +. (Unix.gettimeofday () -. t0);
-    let t1 = Unix.gettimeofday () in
-    ingest_all ();
-    pump_and_sample ();
-    service_seconds := !service_seconds +. (Unix.gettimeofday () -. t1)
-  done;
+      cheats
+  in
+  let run_seconds =
+    H.run_epochs w rng ~epochs:spec.epochs ~epoch_us:spec.epoch_us ~activity:spec.activity
+      ~start:wake ~mid:inject (fun epoch ->
+        now_us := float_of_int epoch *. spec.epoch_us;
+        serve ingest_and_pump)
+  in
   (* Drain: keep re-offering (backpressured producers included) and
      pumping until every live session has caught up. *)
   let drain_rounds = ref 0 in
-  let t2 = Unix.gettimeofday () in
   let all_caught_up () =
     List.for_all
       (fun id ->
         let st = Daemon.session_status daemon ~id in
-        st.Online_audit.verdict <> None || st.Online_audit.lag_entries = 0)
+        st.verdict <> None || st.lag_entries = 0)
       (Daemon.session_ids daemon)
   in
-  while (not (all_caught_up ())) && !drain_rounds < 1000 do
-    incr drain_rounds;
-    ingest_all ();
-    pump_and_sample ()
-  done;
-  let final_events = Daemon.shutdown daemon in
-  ignore (final_events : Daemon.event list);
-  service_seconds := !service_seconds +. (Unix.gettimeofday () -. t2);
-  Replay_cache.set_enabled cache_was_enabled;
+  serve (fun () ->
+      while (not (all_caught_up ())) && !drain_rounds < 1000 do
+        incr drain_rounds;
+        ingest_and_pump ()
+      done;
+      ignore (Daemon.shutdown daemon : Daemon.event list));
   let events = List.rev !events in
-  let flagged = Hashtbl.create 16 in
-  List.iter (fun (ev : Daemon.event) -> Hashtbl.replace flagged ev.Daemon.ev_session ()) events;
-  let cheater_set = Hashtbl.create 16 in
-  List.iter (fun c -> Hashtbl.replace cheater_set (name_of c.node) ()) cheats;
-  let detected, missed =
-    List.partition (fun c -> Hashtbl.mem flagged (name_of c.node)) cheats
+  let detected, missed, false_flagged =
+    H.tally
+      ~cheaters:(List.map (fun c -> c.node) cheats)
+      ~flagged:(List.map (fun (ev : Daemon.event) -> H.index ev.ev_session) events)
   in
-  let false_flagged =
-    Hashtbl.fold
-      (fun id () acc -> if Hashtbl.mem cheater_set id then acc else id :: acc)
-      flagged []
-    |> List.sort compare
-    |> List.map (fun id -> int_of_string (String.sub id 1 (String.length id - 1)))
-  in
-  let daemon_stats = Daemon.stats daemon in
   let sorted_lags = List.sort compare !lag_samples in
   {
-    spec;
-    events;
-    cheats;
-    detected = List.map (fun c -> c.node) detected;
-    missed = List.map (fun c -> c.node) missed;
-    false_flagged;
-    entries_ingested = daemon_stats.Daemon.entries_ingested;
-    lag_samples = !lag_samples;
+    spec; events; cheats; detected; missed; false_flagged;
+    entries_ingested = (Daemon.stats daemon).entries_ingested;
     lag_p50 = percentile sorted_lags 50;
     lag_p99 = percentile sorted_lags 99;
     lag_max = percentile sorted_lags 100;
     detection_latency_us = List.rev !latencies;
     backpressure_engaged = metric "online_audit.backpressure_engaged" - bp_engaged0;
     backpressure_refusals = metric "online_audit.backpressure_refusals" - bp_refused0;
-    cache = Replay_cache.stats cache;
-    cache_hits = (Replay_cache.stats cache).Replay_cache.hits;
-    sim_events = Sim.processed (Net.sim net);
-    run_seconds = !run_seconds;
-    service_seconds = !service_seconds;
-    drain_rounds = !drain_rounds;
+    cache = Option.map Replay_cache.stats cache;
+    sim_events = Avm_netsim.Sim.processed (Net.sim w.net);
+    run_seconds; service_seconds = !service_seconds; drain_rounds = !drain_rounds;
   }
 
-let signature outcome =
-  let b = Buffer.create 1024 in
+(* Sorted, so the digest is independent of delivery order. *)
+let signature o =
   let line (ev : Daemon.event) =
-    Printf.sprintf "%s:%s:%s\n" ev.Daemon.ev_session
-      (Format.asprintf "%a" Online_audit.pp_verdict ev.Daemon.ev_verdict)
-      (match ev.Daemon.ev_entry_seq with Some s -> string_of_int s | None -> "-")
+    Printf.sprintf "%s:%s:%s\n" ev.ev_session
+      (Format.asprintf "%a" Online_audit.pp_verdict ev.ev_verdict)
+      (match ev.ev_entry_seq with Some s -> string_of_int s | None -> "-")
   in
-  List.map line outcome.events |> List.sort compare |> List.iter (Buffer.add_string b);
-  Digest.to_hex (Digest.string (Buffer.contents b))
+  H.signature (List.sort compare (List.map line o.events))

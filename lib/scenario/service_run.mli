@@ -17,7 +17,10 @@
     distribution against [max_lag], detection latency in virtual time,
     backpressure counts and the shared-cache stats. {!signature}
     digests the verdict vector (delivery-order-independent), so jobs
-    and cache on/off can be asserted equivalent. *)
+    and cache on/off can be asserted equivalent.
+
+    A plugin over {!Fleet_harness}: only the poke/rewrite cheats and
+    the daemon's ingest, pump and drain are its own. *)
 
 type spec = {
   sessions : int;  (** concurrent producers; even *)
@@ -32,7 +35,7 @@ type spec = {
   max_lag : int;  (** daemon lag bound = ingest high watermark *)
   budget : int;  (** instructions per session per pump *)
   replay_rate : float;
-  dedup : bool;  (** share the fleet-wide replay cache *)
+  dedup : bool;  (** thread one replay cache through every session *)
   spot_rate : int;
 }
 
@@ -52,7 +55,6 @@ type outcome = {
   missed : int list;
   false_flagged : int list;
   entries_ingested : int;
-  lag_samples : int list;
   lag_p50 : int;
   lag_p99 : int;
   lag_max : int;
@@ -61,8 +63,7 @@ type outcome = {
           injection to verdict delivery *)
   backpressure_engaged : int;
   backpressure_refusals : int;
-  cache : Avm_core.Replay_cache.stats;
-  cache_hits : int;
+  cache : Avm_core.Replay_cache.stats option;  (** [None] when [dedup = false] *)
   sim_events : int;
   run_seconds : float;  (** wall clock simulating the fleet *)
   service_seconds : float;  (** wall clock in ingest + pump *)

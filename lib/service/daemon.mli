@@ -1,6 +1,6 @@
 (** Auditor-as-a-service: a long-running daemon multiplexing hundreds
-    of concurrent {!Avm_core.Online_audit.Session}s over one shared
-    fleet-wide {!Avm_core.Replay_cache}.
+    of concurrent {!Avm_core.Online_audit.Session}s, optionally over
+    one shared fleet-wide {!Avm_core.Replay_cache}.
 
     The daemon owns three invariants the single-session API leaves to
     the caller:
@@ -45,10 +45,8 @@ val create :
     [service.lag_entries_max] gauge tracks the worst session, so a
     sustained breach is visible (and assertable via [avm_obs_check
     --gauge-max]). The watermarks default to [max_lag_entries] and
-    half of it; [cache] defaults to a fresh private cache shared by
-    every attached session. *)
-
-val cache : t -> Avm_core.Replay_cache.t
+    half of it. [cache] is shared by every attached session; without
+    it sessions replay every chunk in full. *)
 
 val attach :
   t ->

@@ -1337,12 +1337,14 @@ let test_spot_check_plan_and_pool () =
 
 (* --- online auditing (paper §6.11) ------------------------------------------ *)
 
+module Session = Online_audit.Session
+
+let open_session () =
+  Session.open_session ~image:(guest_image ()) ~mem_words:4096 ~replay_rate:1.0 ~peers:peers_b ()
+
 let test_online_audit_honest_keeps_up () =
   let a, b, a_out, b_out = make_pair () in
-  let oa =
-    Online_audit.create ~image:(guest_image ()) ~mem_words:4096 ~replay_rate:1.0
-      ~peers:peers_b ()
-  in
+  let s = open_session () in
   let t = ref 0.0 in
   for _ = 1 to 30 do
     t := !t +. 10_000.0;
@@ -1350,22 +1352,18 @@ let test_online_audit_honest_keeps_up () =
     ignore (Avmm.run_slice b ~until_us:!t);
     ignore (shuttle a b a_out);
     ignore (shuttle b a b_out);
-    Online_audit.observe_log oa (Avmm.log b);
-    match Online_audit.advance oa ~budget_instructions:1_000_000 with
-    | `Ok -> ()
-    | `Fault d ->
-      Alcotest.failf "honest online audit faulted: %s"
-        (Format.asprintf "%a" Replay.pp_outcome (Replay.Diverged d))
+    ignore (Session.ingest s (Avmm.log b));
+    match Session.step s ~budget_instructions:1_000_000 with
+    | None -> ()
+    | Some v -> Alcotest.failf "honest online audit failed: %a" Online_audit.pp_verdict v
   done;
-  Alcotest.(check int) "no lag with full budget" 0 (Online_audit.lag_entries oa);
-  Alcotest.(check bool) "made progress" true (Online_audit.replayed_instructions oa > 1000)
+  Alcotest.(check int) "no lag with full budget" 0 (Session.lag_entries s);
+  Alcotest.(check bool) "made progress" true
+    ((Session.status s).Online_audit.replayed_instructions > 1000)
 
 let test_online_audit_catches_cheat_mid_game () =
   let a, b, a_out, b_out = make_pair () in
-  let oa =
-    Online_audit.create ~image:(guest_image ()) ~mem_words:4096 ~replay_rate:1.0
-      ~peers:peers_b ()
-  in
+  let s = open_session () in
   let addr = Avm_isa.Asm.symbol (Avm_mlang.Compile.compile ~stack_top:4096 guest_src) "g_quiet" in
   let t = ref 0.0 in
   let caught_at = ref None in
@@ -1377,12 +1375,12 @@ let test_online_audit_catches_cheat_mid_game () =
        if i = 10 then Avmm.poke b ~addr ~value:666;
        ignore (shuttle a b a_out);
        ignore (shuttle b a b_out);
-       Online_audit.observe_log oa (Avmm.log b);
-       match Online_audit.advance oa ~budget_instructions:1_000_000 with
-       | `Ok -> ()
-       | `Fault _ ->
+       ignore (Session.ingest s (Avmm.log b));
+       match Session.step s ~budget_instructions:1_000_000 with
+       | Some (Online_audit.Diverged _) ->
          caught_at := Some i;
          raise Exit
+       | _ -> ()
      done
    with Exit -> ());
   match !caught_at with
@@ -1391,17 +1389,17 @@ let test_online_audit_catches_cheat_mid_game () =
     (* detected while the game was still in progress, soon after the
        poke's effect reached a snapshot or output *)
     Alcotest.(check bool) "caught mid-game" true (slice < 40);
-    Alcotest.(check bool) "fault is terminal" true (Online_audit.fault oa <> None)
+    Alcotest.(check bool) "verdict is terminal" true
+      (match Session.step s ~budget_instructions:1_000_000 with
+      | Some (Online_audit.Diverged _) -> true
+      | _ -> false)
 
 let test_online_audit_parallel_chain_check () =
-  (* A jobs > 1 online auditor re-verifies the hash chain of each newly
-     observed range on its pool; a naive in-place rewrite is flagged on
-     the very observation that delivers it, before replay reaches it. *)
+  (* The session re-verifies the hash chain of each newly ingested
+     range inline; a naive in-place rewrite is flagged on the very
+     ingest that delivers it, before replay reaches it. *)
   let a, b, a_out, b_out = make_pair () in
-  let oa =
-    Online_audit.create ~image:(guest_image ()) ~mem_words:4096 ~replay_rate:1.0
-      ~par:(Audit.parallel 2) ~peers:peers_b ()
-  in
+  let s = open_session () in
   let t = ref 0.0 in
   for _ = 1 to 10 do
     t := !t +. 10_000.0;
@@ -1409,11 +1407,9 @@ let test_online_audit_parallel_chain_check () =
     ignore (Avmm.run_slice b ~until_us:!t);
     ignore (shuttle a b a_out);
     ignore (shuttle b a b_out);
-    Online_audit.observe_log oa (Avmm.log b);
-    (match Online_audit.advance oa ~budget_instructions:1_000_000 with
-    | `Ok -> ()
-    | `Fault _ -> Alcotest.fail "honest prefix faulted");
-    Alcotest.(check bool) "honest chain clean" true (Online_audit.tamper_detected oa = None)
+    ignore (Session.ingest s (Avmm.log b));
+    Alcotest.(check bool) "honest prefix clean" true
+      (Session.step s ~budget_instructions:1_000_000 = None)
   done;
   (* two more slices land in the yet-unobserved range; rewrite one of
      those entries in place, then let the auditor pull the range *)
@@ -1426,127 +1422,54 @@ let test_online_audit_parallel_chain_check () =
   done;
   let log = Avmm.log b in
   Log.tamper_replace log (Log.length log) (Entry.Note "rewritten");
-  Online_audit.observe_log oa log;
-  (match Online_audit.tamper_detected oa with
-  | Some reason -> Alcotest.(check bool) "reason given" true (String.length reason > 0)
-  | None -> Alcotest.fail "in-place rewrite not caught on observation");
-  Online_audit.close oa
+  ignore (Session.ingest s log);
+  (match (Session.status s).Online_audit.verdict with
+  | Some (Online_audit.Tampered { reason; _ }) ->
+    Alcotest.(check bool) "reason given" true (String.length reason > 0)
+  | _ -> Alcotest.fail "in-place rewrite not caught on ingest");
+  ignore (Session.close s)
 
-(* --- old-name wrappers = Session API ------------------------------------------ *)
+(* A session drained to a verdict (or to zero lag), then closed. *)
+let drain_budget = 10_000_000
 
-(* The pre-session [create]/[observe_log]/[advance] names survive as
-   thin wrappers over [Online_audit.Session]; until they go, both
-   surfaces must classify every log — honest and tampered — the same
-   way. *)
-module Session_equivalence = struct
-  type classified = Clean | Tampered_log | Diverged of Replay.divergence_kind
+let drain s =
+  let rec go n =
+    match Session.step s ~budget_instructions:drain_budget with
+    | Some _ -> ()
+    | None -> if n > 0 && Session.lag_entries s > 0 then go (n - 1)
+  in
+  go 50
 
-  let pp_classified = function
-    | Clean -> "clean"
-    | Tampered_log -> "tampered"
-    | Diverged k -> "diverged:" ^ Replay.kind_name k
+let session_verdict log =
+  let s = open_session () in
+  ignore (Session.ingest s log);
+  drain s;
+  Session.close s
 
-  let drain_budget = 10_000_000
-  let drain_rounds = 50
+let session_log = lazy (record_with_auths ())
 
-  let wrapper_classify log =
-    let oa =
-      Online_audit.create ~image:(guest_image ()) ~mem_words:4096 ~replay_rate:1.0
-        ~peers:peers_b ()
-    in
-    Online_audit.observe_log oa log;
-    let rec drain n =
-      match Online_audit.advance oa ~budget_instructions:drain_budget with
-      | `Fault _ -> ()
-      | `Ok -> if n > 0 && Online_audit.lag_entries oa > 0 then drain (n - 1)
-    in
-    drain drain_rounds;
-    let v =
-      match (Online_audit.fault oa, Online_audit.tamper_detected oa) with
-      | Some d, _ -> Diverged d.Replay.kind
-      | None, Some _ -> Tampered_log
-      | None, None -> Clean
-    in
-    Online_audit.close oa;
-    v
+let test_online_audit_honest_and_poked () =
+  let b, _auths = Lazy.force session_log in
+  Alcotest.(check bool) "honest log clean" true (session_verdict (Avmm.log b) = None);
+  let b, _auths = record_with_auths ~poke_at:15 () in
+  Alcotest.(check bool) "poked log caught" true (session_verdict (Avmm.log b) <> None)
 
-  let session_classify log =
-    let s =
-      Online_audit.Session.open_session ~image:(guest_image ()) ~mem_words:4096
-        ~replay_rate:1.0 ~peers:peers_b ()
-    in
-    ignore (Online_audit.Session.ingest s log);
-    let rec drain n =
-      match Online_audit.Session.step s ~budget_instructions:drain_budget with
-      | Some _ -> ()
-      | None -> if n > 0 && Online_audit.Session.lag_entries s > 0 then drain (n - 1)
-    in
-    drain drain_rounds;
-    match Online_audit.Session.close s with
-    | None -> Clean
-    | Some (Online_audit.Tampered _) -> Tampered_log
-    | Some (Online_audit.Diverged d) -> Diverged d.Replay.kind
-    (* no ctx, no offered auths: this session can never equivocate *)
-    | Some (Online_audit.Equivocated _) -> assert false
-
-  let classify_equal ~name log =
-    let w = wrapper_classify log and s = session_classify log in
-    if w <> s then
-      QCheck2.Test.fail_reportf "%s: wrapper says %s, Session says %s" name
-        (pp_classified w) (pp_classified s)
-    else true
-
-  let session = lazy (record_with_auths ())
-
-  let prop_tampered =
-    let gen =
-      QCheck2.Gen.(pair (oneofl [ `Replace; `Reseal; `Truncate ]) (int_range 2 200))
-    in
-    QCheck2.Test.make ~count:12 ~name:"wrapper = Session on random tampers" gen
-      (fun (kind, pos) ->
-        let b, _auths = Lazy.force session in
-        let forked = Log.fork (Avmm.log b) in
-        let pos = 1 + (pos mod Log.length forked) in
-        (match kind with
-        | `Replace -> Log.tamper_replace forked pos (Entry.Note "evil")
-        | `Reseal -> Log.tamper_reseal forked pos (Entry.Note "evil")
-        | `Truncate -> Log.tamper_truncate forked pos);
-        classify_equal ~name:(Printf.sprintf "tamper@%d" pos) forked)
-
-  let test_honest_and_poked () =
-    let b, _auths = Lazy.force session in
-    Alcotest.(check bool) "honest log classified clean" true
-      (wrapper_classify (Avmm.log b) = Clean
-      && session_classify (Avmm.log b) = Clean);
-    let b, _auths = record_with_auths ~poke_at:15 () in
-    let w = wrapper_classify (Avmm.log b) and s = session_classify (Avmm.log b) in
-    Alcotest.(check string) "poked log classified identically" (pp_classified w)
-      (pp_classified s);
-    Alcotest.(check bool) "poked log caught" true (w <> Clean)
-
-  let test_full_session_matches_batch_audit () =
-    (* The ctx-carrying streaming session must reach the batch
-       auditor's verdict on the same honest log. *)
-    let b, auths = Lazy.force session in
-    let batch =
-      Audit.full_of_log ~ctx:(ctx_ab auths) ~image:(guest_image ()) ~mem_words:4096
-        ~peers:peers_b ~log:(Avmm.log b) ()
-    in
-    Alcotest.(check bool) "batch verdict ok" true (batch.Audit.verdict = Ok ());
-    let s =
-      Online_audit.Session.open_session ~ctx:(ctx_ab auths) ~image:(guest_image ())
-        ~mem_words:4096 ~replay_rate:1.0 ~peers:peers_b ()
-    in
-    ignore (Online_audit.Session.ingest s (Avmm.log b));
-    let rec drain n =
-      match Online_audit.Session.step s ~budget_instructions:drain_budget with
-      | Some _ -> ()
-      | None -> if n > 0 && Online_audit.Session.lag_entries s > 0 then drain (n - 1)
-    in
-    drain drain_rounds;
-    Alcotest.(check bool) "streaming session clean too" true
-      (Online_audit.Session.close s = None)
-end
+let test_online_audit_ctx_matches_batch () =
+  (* The ctx-carrying streaming session must reach the batch auditor's
+     verdict on the same honest log. *)
+  let b, auths = Lazy.force session_log in
+  let batch =
+    Audit.full_of_log ~ctx:(ctx_ab auths) ~image:(guest_image ()) ~mem_words:4096
+      ~peers:peers_b ~log:(Avmm.log b) ()
+  in
+  Alcotest.(check bool) "batch verdict ok" true (batch.Audit.verdict = Ok ());
+  let s =
+    Session.open_session ~ctx:(ctx_ab auths) ~image:(guest_image ()) ~mem_words:4096
+      ~replay_rate:1.0 ~peers:peers_b ()
+  in
+  ignore (Session.ingest s (Avmm.log b));
+  drain s;
+  Alcotest.(check bool) "streaming session clean too" true (Session.close s = None)
 
 (* --- remaining divergence kinds ---------------------------------------------- *)
 
@@ -1617,6 +1540,10 @@ let () =
             test_online_audit_catches_cheat_mid_game;
           Alcotest.test_case "parallel chain pre-check" `Quick
             test_online_audit_parallel_chain_check;
+          Alcotest.test_case "honest clean, poked caught" `Slow
+            test_online_audit_honest_and_poked;
+          Alcotest.test_case "ctx session = batch audit" `Slow
+            test_online_audit_ctx_matches_batch;
         ] );
       ( "parallel-audit",
         [
@@ -1626,14 +1553,6 @@ let () =
           Alcotest.test_case "forged downloaded snapshot" `Quick
             test_parallel_replay_forged_snapshot;
           Alcotest.test_case "spot-check plan + pool" `Quick test_spot_check_plan_and_pool;
-        ] );
-      ( "session-wrappers",
-        [
-          Alcotest.test_case "honest + poked = Session API" `Slow
-            Session_equivalence.test_honest_and_poked;
-          Alcotest.test_case "ctx session = batch audit" `Slow
-            Session_equivalence.test_full_session_matches_batch_audit;
-          QCheck_alcotest.to_alcotest Session_equivalence.prop_tampered;
         ] );
       ( "properties",
         [

@@ -2,9 +2,9 @@
    protocol's unit behavior, its adversarial edges — a planted cheat
    whose fingerprint collides with a cached honest chunk, and a
    poisoned table entry — and the QCheck equivalence property that
-   audits draw identical verdicts with the cache enabled, disabled,
-   or cleared mid-audit, at 1 and 4 auditor jobs, over randomly
-   tampered logs. *)
+   audits draw identical verdicts with the cache cold, warm, cleared
+   mid-audit, or not given at all, at 1 and 4 auditor jobs, over
+   randomly tampered logs. *)
 
 open Avm_core
 open Avm_tamperlog
@@ -218,7 +218,7 @@ let test_spot_check_confirms_honest_entry () =
   Alcotest.(check int) "no poison" 0 s.Replay_cache.poisoned;
   Alcotest.(check int) "entry kept" 1 (Replay_cache.size cache)
 
-let test_fifo_bound_and_kill_switch () =
+let test_fifo_bound () =
   let cache = Replay_cache.create ~capacity:4 ~stripes:1 ~spot_rate:0 () in
   for i = 1 to 10 do
     let p =
@@ -229,20 +229,7 @@ let test_fifo_bound_and_kill_switch () =
     Replay_cache.remember cache p ~instructions:i ~entries_consumed:0 ()
   done;
   Alcotest.(check bool) "bounded" true (Replay_cache.size cache <= 4);
-  Alcotest.(check int) "capacity" 4 (Replay_cache.capacity cache);
-  (* Kill switch: a remembered chunk stops hitting, and stores are
-     skipped, until re-enabled. *)
-  let p =
-    Replay_cache.fingerprint ~image:(image ()) ~peers:[] ~pre_state:"state-10" []
-  in
-  Replay_cache.set_enabled false;
-  Fun.protect ~finally:(fun () -> Replay_cache.set_enabled true) @@ fun () ->
-  (match Replay_cache.find cache ~fuel:max_int p with
-  | `Miss -> ()
-  | _ -> Alcotest.fail "disabled cache must miss");
-  Replay_cache.remember cache p ~instructions:1 ~entries_consumed:0 ();
-  Replay_cache.clear cache;
-  Alcotest.(check int) "disabled remember is a no-op" 0 (Replay_cache.size cache)
+  Alcotest.(check int) "capacity" 4 (Replay_cache.capacity cache)
 
 (* --- QCheck: audit equivalence cache-on/off/cleared, jobs 1 and 4 -------- *)
 
@@ -296,20 +283,14 @@ let equivalence_prop =
           let warm = audit ~cache jobs in
           Replay_cache.clear cache;
           let cleared = audit ~cache jobs in
-          Replay_cache.set_enabled false;
-          let disabled =
-            Fun.protect ~finally:(fun () -> Replay_cache.set_enabled true) (fun () ->
-                audit ~cache jobs)
-          in
           let plain = audit jobs in
           if
             not
-              (baseline = cold && baseline = warm && baseline = cleared
-             && baseline = disabled && baseline = plain)
+              (baseline = cold && baseline = warm && baseline = cleared && baseline = plain)
           then
             QCheck2.Test.fail_reportf
-              "verdict differs at jobs=%d (tamper=%b salt=%d): cold/warm/cleared/disabled \
-               must equal the no-cache baseline"
+              "verdict differs at jobs=%d (tamper=%b salt=%d): cold/warm/cleared/plain must \
+               equal the no-cache baseline"
               jobs tamper salt
           else true)
         [ 1; 4 ])
@@ -326,8 +307,7 @@ let () =
             test_poisoned_entry_caught_by_spot_check;
           Alcotest.test_case "spot check confirms honest entry" `Quick
             test_spot_check_confirms_honest_entry;
-          Alcotest.test_case "fifo bound and kill switch" `Quick
-            test_fifo_bound_and_kill_switch;
+          Alcotest.test_case "fifo bound" `Quick test_fifo_bound;
         ] );
       ( "equivalence",
         [ QCheck_alcotest.to_alcotest ~long:false equivalence_prop ] );

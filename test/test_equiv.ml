@@ -294,6 +294,10 @@ let test_equivocation_run_small () =
   let o1 = Equiv.run ~par:Audit_ctx.sequential spec in
   let o2 = Equiv.run ~par:(Audit_ctx.parallel 2) spec in
   Alcotest.(check string) "jobs 1 = jobs 2" (Equiv.signature o1) (Equiv.signature o2);
+  (* Pinned: a change to the driver's draw order or to the verdict,
+     proof or caught lines shows up here, not only in a smoke target. *)
+  Alcotest.(check string) "golden signature" "d673cfa1bf4422ed81fca55e69889f70"
+    (Equiv.signature o1);
   Alcotest.(check bool) "at least one forker planted" true (o1.Equiv.forkers <> []);
   List.iter
     (fun (f : Equiv.forker) ->

@@ -271,7 +271,27 @@ let test_fleet_run () =
   Alcotest.(check (list int)) "no honest node flagged" [] o.Fleet_run.false_flagged;
   Alcotest.(check string) "verdicts invariant under auditor jobs" (Fleet_run.signature o)
     (Fleet_run.signature o2);
+  (* Pinned: a change to the driver's draw order or to the verdict
+     lines shows up here, not only in a smoke target. *)
+  Alcotest.(check string) "golden signature" "2ce9d0d31b2062e66f6484620a641150"
+    (Fleet_run.signature o);
   Alcotest.(check bool) "events flowed" true (o.Fleet_run.sim_events > 0)
+
+let test_tally_and_gate () =
+  let detected, missed, false_flagged =
+    Fleet_harness.tally ~cheaters:[ 3; 1 ] ~flagged:[ 7; 1; 7; 2 ]
+  in
+  Alcotest.(check (list int)) "detected, in cheater order" [ 1 ] detected;
+  Alcotest.(check (list int)) "missed" [ 3 ] missed;
+  Alcotest.(check (list int)) "false flags, sorted and distinct" [ 2; 7 ] false_flagged;
+  let report epoch coverage = { Fleet_harness.epoch; coverage; jobs = 4; failures = 0 } in
+  Alcotest.(check (list string)) "a clean run passes" []
+    (Fleet_harness.gate ~reports:[ report 1 1.0 ] ~same:("runs", "ab", "ab")
+       ~checks:[ (true, "unused") ] ~missed:[] ~false_flagged:[] ());
+  Alcotest.(check int) "every failed check is named" 5
+    (List.length
+       (Fleet_harness.gate ~reports:[ report 1 1.0; report 2 0.5 ] ~same:("runs", "ab", "cd")
+          ~checks:[ (false, "extra") ] ~missed ~false_flagged ()))
 
 let () =
   Alcotest.run "scenario"
@@ -314,5 +334,8 @@ let () =
         ] );
       ( "experiments", [ Alcotest.test_case "fig5 shape" `Quick test_fig5_shape ] );
       ( "fleet",
-        [ Alcotest.test_case "witness audits catch the cheating minority" `Slow test_fleet_run ] );
+        [
+          Alcotest.test_case "witness audits catch the cheating minority" `Slow test_fleet_run;
+          Alcotest.test_case "tally and gate" `Quick test_tally_and_gate;
+        ] );
     ]

@@ -197,13 +197,17 @@ let test_cheats_located () =
 let test_verdicts_invariant_jobs_and_cache () =
   let base = Service_run.run ~par:Audit_ctx.sequential cheat_spec in
   let sig_base = Service_run.signature base in
+  (* Pinned: a change to the driver's draw order or to the verdict
+     lines shows up here, not only in a smoke target. *)
+  Alcotest.(check string) "golden signature" "2f77f5f9c9105f4a997821e8ec987f50" sig_base;
   Alcotest.(check bool) "baseline detects the cheats" true (base.Service_run.detected <> []);
   let jobs4 = Service_run.run ~par:(Audit_ctx.parallel 4) cheat_spec in
   Alcotest.(check string) "jobs 1 = jobs 4" sig_base (Service_run.signature jobs4);
   let nocache = Service_run.run { cheat_spec with Service_run.dedup = false } in
   Alcotest.(check string) "cache on = cache off" sig_base (Service_run.signature nocache);
   Alcotest.(check bool) "cache-on run actually hit the cache" true
-    (base.Service_run.cache_hits > 0)
+    (match base.Service_run.cache with Some c -> c.Replay_cache.hits > 0 | None -> false);
+  Alcotest.(check bool) "cache-off run has no cache" true (nocache.Service_run.cache = None)
 
 let () =
   Alcotest.run "avm_service"
