@@ -27,14 +27,15 @@ type syntactic_report = {
   failures : string list;
 }
 
-(* Both the streaming fold and the parallel stitcher account through
-   here, so the [audit.*] counters agree with the report whichever
-   path produced it. *)
+(* Every syntactic report is settled by [syn_finish], so the [audit.*]
+   counters agree with the report whatever chunking produced it. *)
 let record_syntactic_metrics r =
   Metrics.incr ~by:r.entries_checked "audit.entries_checked";
   Metrics.incr ~by:r.auths_matched "audit.auths_matched";
   Metrics.incr ~by:r.recv_signatures_verified "audit.recv_signatures_verified";
   Metrics.incr ~by:(List.length r.failures) "audit.failures"
+
+module Pool = Avm_util.Domain_pool
 
 (* The syntactic check as an incremental stream: all five checks
    (hash chain, authenticator matching, RECV sender signatures, send
@@ -44,15 +45,32 @@ let record_syntactic_metrics r =
    arrive and read failures mid-stream. Only the collected
    authenticators — a set far smaller than the log — are pre-indexed
    up front; obligations that can only be settled once the cut point
-   is known (unacked sends) are resolved by [syn_finish]. *)
-(* A failure-stream cell: either a finished message or the positional
-   placeholder of a deferred RECV signature check. Deferring lets the
-   stream hand whole batches to [Rsa.verify_batch]; a placeholder that
-   verifies is dropped at flush time, one that fails becomes its
-   message in exactly the position an immediate check would have put
-   it, so the resolved failure list is byte-identical to the old
-   entry-at-a-time stream. *)
-type syn_cell = Cell_msg of string | Cell_sig of int  (* index into the pending batch *)
+   is known (unacked sends) are resolved by [syn_finish].
+
+   A batch audit cuts its range into chunks and runs one stream per
+   chunk — on the pool, or inline with one lane — then folds them in
+   log order into the first ([absorb]) before [syn_finish]. A chunk
+   stream opens at its boundary with the state the single stream
+   would carry there: the index's chain hash, the expected next seq
+   and the range's origin seq. *)
+
+(* A failure-stream cell. [Cell_msg] is a finished message. [Cell_sig]
+   is the positional placeholder of a deferred RECV signature check:
+   deferring lets the stream hand whole batches to [Rsa.verify_batch];
+   a placeholder that verifies is dropped at flush time, one that
+   fails becomes its message in exactly the position an immediate
+   check would have put it. The other two arise only in a stream that
+   opens mid-range, for the two checks that depend on entries before
+   the chunk; [absorb] settles them:
+   - [Cell_chain] is the chunk's first chain break, dropped if an
+     earlier chunk already broke (only the first break is reported);
+   - [Cell_xref (seq, msg)] is an rx read whose target is not (yet) a
+     RECV in this chunk, re-checked against the earlier chunks' RECVs. *)
+type syn_cell =
+  | Cell_msg of string
+  | Cell_sig of int  (* index into the pending batch *)
+  | Cell_chain of string
+  | Cell_xref of int * int  (* (entry seq, referenced msg seq) *)
 
 (* Flush once this many signature checks are queued; bounds both the
    placeholder scan and the batch array. *)
@@ -62,7 +80,12 @@ type syn_stream = {
   ss_node : string;
   ss_peer_certs : (string * Avm_crypto.Identity.certificate) list;
   ss_ack_grace : int;
-  ss_auth_by_seq : (int, Auth.t) Hashtbl.t;
+  ss_auth_by_seq : (int, Auth.t) Hashtbl.t;  (* shared, read-only *)
+  ss_head : bool;  (* opens the audited range: chain and xref misses are final *)
+  (* Entry hashes recomputed at inflation ([Log.chunk_spec.spec_derived]):
+     past the first entry the per-entry digest comparison is a
+     tautology and is skipped; every other check still runs. *)
+  ss_derived : bool;
   mutable ss_failures : syn_cell list; (* newest first *)
   mutable ss_nfail : int; (* resolved failures only *)
   mutable ss_entries_checked : int;
@@ -85,12 +108,16 @@ type syn_stream = {
   mutable ss_pending_sends : int list;
 }
 
+let syn_cell s c = s.ss_failures <- c :: s.ss_failures
+
 let syn_fail s fmt =
   Printf.ksprintf
     (fun m ->
-      s.ss_failures <- Cell_msg m :: s.ss_failures;
+      syn_cell s (Cell_msg m);
       s.ss_nfail <- s.ss_nfail + 1)
     fmt
+
+let xref_failure seq msg = Printf.sprintf "entry #%d: rx read references non-RECV entry %d" seq msg
 
 (* Resolve every queued signature check: one batched verification,
    then placeholders collapse in place. *)
@@ -106,7 +133,6 @@ let syn_flush s =
     s.ss_failures <-
       List.filter_map
         (function
-          | Cell_msg _ as c -> Some c
           | Cell_sig i ->
             if verdicts.(i) then begin
               s.ss_recv_sigs <- s.ss_recv_sigs + 1;
@@ -116,17 +142,61 @@ let syn_flush s =
               let seq, _, _, _ = pending.(i) in
               s.ss_nfail <- s.ss_nfail + 1;
               Some (Cell_msg (Printf.sprintf "entry #%d: forged RECV — sender signature invalid" seq))
-            end)
+            end
+          | c -> Some c)
         s.ss_failures
   end
 
-let syn_stream ~ctx:{ node_cert; peer_certs; auths; ack_grace } ~prev_hash =
+(* Cut [xs] into at most [n] contiguous, near-equal slices, in order;
+   an empty list gives one empty slice. *)
+let split n xs =
+  let len = List.length xs in
+  let n = max 1 (min n len) in
+  let per = max 1 ((len + n - 1) / n) in
+  let rec go i cur acc = function
+    | [] -> List.rev (List.rev cur :: acc)
+    | x :: rest when i = per -> go 1 [ x ] (List.rev cur :: acc) rest
+    | x :: rest -> go (i + 1) (x :: cur) acc rest
+  in
+  go 0 [] [] xs
+
+(* Verify the collected authenticators addressed to the audited node —
+   batched, they share the one node key; with a pool, one batch per
+   lane — and index the genuine ones by seq. Failures come back in
+   authenticator order, which is also the [Hashtbl.add] order that
+   [find_all] reflects. *)
+let auth_index ?pool ~node_cert auths =
+  let node = Avm_crypto.Identity.cert_name node_cert in
+  let verify slice =
+    let mine = Array.of_list (List.filter (fun (a : Auth.t) -> String.equal a.node node) slice) in
+    let ok = Auth.verify_batch (Array.map (fun a -> (node_cert, a)) mine) in
+    List.mapi (fun i a -> (a, ok.(i))) (Array.to_list mine)
+  in
+  let lanes = match pool with Some p -> Pool.jobs p | None -> 1 in
+  let by_seq = Hashtbl.create 256 in
+  let failures =
+    List.concat (Audit_ctx.map ~par:{ jobs = 1; pool } verify (split lanes auths))
+    |> List.filter_map (fun ((a : Auth.t), ok) ->
+           if ok then begin
+             Hashtbl.add by_seq a.seq a;
+             None
+           end
+           else Some (Printf.sprintf "authenticator #%d: bad signature or inconsistent hash" a.seq))
+  in
+  (by_seq, failures)
+
+(* [auths] is an [auth_index] result; the stream that opens the range
+   reports its failures ahead of any entry's. *)
+let open_stream ~ctx ~auths:(auth_by_seq, auth_failures) ~head ~derived ~origin ~prev_hash
+    ~expected =
   let s =
     {
-      ss_node = Avm_crypto.Identity.cert_name node_cert;
-      ss_peer_certs = peer_certs;
-      ss_ack_grace = ack_grace;
-      ss_auth_by_seq = Hashtbl.create 256;
+      ss_node = Avm_crypto.Identity.cert_name ctx.node_cert;
+      ss_peer_certs = ctx.peer_certs;
+      ss_ack_grace = ctx.ack_grace;
+      ss_auth_by_seq = auth_by_seq;
+      ss_head = head;
+      ss_derived = derived;
       ss_failures = [];
       ss_nfail = 0;
       ss_entries_checked = 0;
@@ -135,44 +205,39 @@ let syn_stream ~ctx:{ node_cert; peer_certs; auths; ack_grace } ~prev_hash =
       ss_sig_pending = [];
       ss_sig_npending = 0;
       ss_prev = prev_hash;
-      ss_expected_seq = -1;
+      ss_expected_seq = expected;
       ss_chain_broken = false;
-      ss_first_seq = -1;
+      ss_first_seq = origin;
       ss_last_seq = 0;
       ss_recv_seqs = Hashtbl.create 256;
       ss_acked = Hashtbl.create 64;
       ss_pending_sends = [];
     }
   in
-  (* Authenticators: verify signatures — batched, they share the one
-     node key — and index by seq (not a pass over the entry stream). *)
-  let mine = Array.of_list (List.filter (fun (a : Auth.t) -> String.equal a.node s.ss_node) auths) in
-  let verdicts = Auth.verify_batch (Array.map (fun a -> (node_cert, a)) mine) in
-  Array.iteri
-    (fun i (a : Auth.t) ->
-      if verdicts.(i) then Hashtbl.add s.ss_auth_by_seq a.seq a
-      else syn_fail s "authenticator #%d: bad signature or inconsistent hash" a.seq)
-    mine;
+  if head then List.iter (syn_fail s "%s") auth_failures;
   s
 
-(* [hash_derived] marks entries whose [hash] field was recomputed from
-   the running chain at inflation ([Log.chunk_spec.spec_derived]): the
-   per-entry digest comparison is a tautology there and is skipped;
-   every other check, including the sequence-gap check, still runs. *)
-let syn_push_gen ~hash_derived s (e : Entry.t) =
+let syn_stream ~ctx ~prev_hash =
+  open_stream ~ctx
+    ~auths:(auth_index ~node_cert:ctx.node_cert ctx.auths)
+    ~head:true ~derived:false ~origin:(-1) ~prev_hash ~expected:(-1)
+
+let chain_break s m =
+  s.ss_chain_broken <- true;
+  if s.ss_head then syn_fail s "%s" m else syn_cell s (Cell_chain m)
+
+let syn_push s (e : Entry.t) =
+  let hash_derived = s.ss_derived && s.ss_entries_checked > 0 in
   s.ss_entries_checked <- s.ss_entries_checked + 1;
   if s.ss_first_seq < 0 then s.ss_first_seq <- e.seq;
   s.ss_last_seq <- e.seq;
   (* 1. Hash chain. *)
   if not s.ss_chain_broken then begin
-    if s.ss_expected_seq >= 0 && e.seq <> s.ss_expected_seq then begin
-      s.ss_chain_broken <- true;
-      syn_fail s "chain: sequence gap: expected %d, found %d" s.ss_expected_seq e.seq
-    end
-    else if (not hash_derived) && not (Entry.chain_ok ~prev:s.ss_prev e) then begin
-      s.ss_chain_broken <- true;
-      syn_fail s "chain: hash chain broken at entry %d" e.seq
-    end
+    if s.ss_expected_seq >= 0 && e.seq <> s.ss_expected_seq then
+      chain_break s
+        (Printf.sprintf "chain: sequence gap: expected %d, found %d" s.ss_expected_seq e.seq)
+    else if (not hash_derived) && not (Entry.chain_ok ~prev:s.ss_prev e) then
+      chain_break s (Printf.sprintf "chain: hash chain broken at entry %d" e.seq)
   end;
   s.ss_prev <- e.hash;
   s.ss_expected_seq <- e.seq + 1;
@@ -191,7 +256,7 @@ let syn_push_gen ~hash_derived s (e : Entry.t) =
       | None -> syn_fail s "entry #%d: no certificate for sender %s" e.seq src
       | Some cert ->
         let body = Wireformat.message_body ~src ~dest:s.ss_node ~nonce ~payload in
-        s.ss_failures <- Cell_sig s.ss_sig_npending :: s.ss_failures;
+        syn_cell s (Cell_sig s.ss_sig_npending);
         s.ss_sig_pending <- (e.seq, cert, body, signature) :: s.ss_sig_pending;
         s.ss_sig_npending <- s.ss_sig_npending + 1;
         if s.ss_sig_npending >= sig_batch_cap then syn_flush s
@@ -199,21 +264,23 @@ let syn_push_gen ~hash_derived s (e : Entry.t) =
   (* 4. Send acknowledgement bookkeeping, settled at end of stream. *)
   | Entry.Ack { acked_seq; _ } -> Hashtbl.replace s.ss_acked acked_seq ()
   | Entry.Send _ -> s.ss_pending_sends <- e.seq :: s.ss_pending_sends
-  (* 5. Input-stream references into the message stream are sane. *)
+  (* 5. Input-stream references into the message stream are sane;
+     references before the audited range are validated by earlier
+     audits. *)
   | Entry.Exec (Avm_machine.Event.Io_in { msg; _ }) when msg >= 0 ->
     if msg >= e.seq then syn_fail s "entry #%d: rx read references future entry %d" e.seq msg
     else if msg >= s.ss_first_seq && not (Hashtbl.mem s.ss_recv_seqs msg) then
-      syn_fail s "entry #%d: rx read references non-RECV entry %d" e.seq msg
-    (* references before this segment are validated by earlier audits *)
+      if s.ss_head then syn_fail s "%s" (xref_failure e.seq msg)
+      else syn_cell s (Cell_xref (e.seq, msg))
   | _ -> ()
-
-let syn_push s e = syn_push_gen ~hash_derived:false s e
 
 let syn_failure_count s =
   syn_flush s;
   s.ss_nfail
 
-let cell_msg = function Cell_msg m -> m | Cell_sig _ -> assert false (* flushed *)
+let cell_msg = function
+  | Cell_msg m -> m
+  | Cell_sig _ | Cell_chain _ | Cell_xref _ -> assert false (* flushed / absorbed *)
 
 let syn_failures s =
   syn_flush s;
@@ -245,352 +312,126 @@ let syntactic_feed ~ctx ~prev_hash ~feed () =
   feed (syn_push s);
   syn_finish s
 
-(* --- parallel syntactic check ------------------------------------------- *)
+(* --- chunked syntactic check --------------------------------------------- *)
 
-module Pool = Avm_util.Domain_pool
+(* Fold the flushed stream [c] of the next chunk into [h], the stream
+   of everything before it, so that [syn_finish h] reports what one
+   stream fed both would. [c]'s deferred cells resolve against [h]'s
+   state before [c]'s own RECVs and chain flag join it. *)
+let absorb h c =
+  List.iter
+    (function
+      | Cell_msg m -> syn_fail h "%s" m
+      | Cell_chain m -> if not h.ss_chain_broken then syn_fail h "%s" m
+      | Cell_xref (seq, msg) ->
+        if not (Hashtbl.mem h.ss_recv_seqs msg) then syn_fail h "%s" (xref_failure seq msg)
+      | Cell_sig _ -> assert false (* flushed *))
+    (List.rev c.ss_failures);
+  h.ss_chain_broken <- h.ss_chain_broken || c.ss_chain_broken;
+  Hashtbl.iter (Hashtbl.replace h.ss_recv_seqs) c.ss_recv_seqs;
+  Hashtbl.iter (Hashtbl.replace h.ss_acked) c.ss_acked;
+  h.ss_pending_sends <- List.rev_append c.ss_pending_sends h.ss_pending_sends;
+  h.ss_entries_checked <- h.ss_entries_checked + c.ss_entries_checked;
+  h.ss_auths_matched <- h.ss_auths_matched + c.ss_auths_matched;
+  h.ss_recv_sigs <- h.ss_recv_sigs + c.ss_recv_sigs;
+  if c.ss_entries_checked > 0 then h.ss_last_seq <- c.ss_last_seq
 
-(* The parallel pass splits the entry stream into chunks that workers
-   check independently, then stitches the per-chunk results back
-   together sequentially. Everything order- or history-sensitive is
-   carried as an *event*, replayed at stitch time in exact log order,
-   so the stitched report is bit-identical to the streaming fold's:
-
-   - [Ev_fail] is a finished failure message at its entry position.
-   - [Ev_chain] is a chain failure; the stitcher drops it when an
-     earlier chunk already broke, reproducing the single global
-     "first break only" flag. A worker can evaluate the chain checks
-     of a later chunk without knowing whether an earlier one broke,
-     because the sequential fold advances [prev]/[expected] from the
-     *stored* hashes regardless of validity — its state at a chunk
-     boundary is exactly the segment index's [prev_hash]/[from].
-   - [Ev_recv]/[Ev_xref] defer the "rx read references non-RECV
-     entry" membership test: the stitcher grows the recv-seq table in
-     event order and resolves each cross-reference against precisely
-     the RECVs the sequential fold would have seen at that point. *)
-type syn_event =
-  | Ev_fail of string
-  | Ev_chain of string
-  | Ev_recv of int
-  | Ev_xref of int * int  (* (entry seq, referenced msg seq) *)
-
-type syn_chunk = {
-  sc_prev_hash : string;  (* chain hash just before the chunk *)
-  sc_expected_first : int;  (* expected first seq; -1 = no check (first chunk) *)
-  sc_derived : bool;  (* entry hashes recomputed at inflation (Log.spec_derived) *)
-  sc_load : unit -> Entry.t list;
+type chunk = {
+  c_prev_hash : string;  (* chain hash just before the chunk *)
+  c_expected : int;  (* expected first seq; -1 = no check *)
+  c_origin : int;  (* first seq of the audited range; -1 = unknown yet *)
+  c_derived : bool;  (* entry hashes recomputed at inflation (Log.spec_derived) *)
+  c_load : unit -> Entry.t list;
 }
-
-type chunk_pass = {
-  cp_events : syn_event list;  (* entry order *)
-  cp_sends : int list;
-  cp_acked : int list;
-  cp_entries : int;
-  cp_auths : int;
-  cp_recv_sigs : int;
-  cp_broke : bool;
-  cp_last : int;  (* seq of the chunk's last entry *)
-}
-
-(* A chunk-pass event cell: a finished event or a deferred RECV
-   signature check, resolved by one batched verification at the end of
-   the chunk — the chunk-local form of [syn_cell]. *)
-type chunk_cell = C_ev of syn_event | C_sig of int
-
-(* One worker's pass over one chunk: the same five checks as
-   [syntactic_feed], emitting events instead of final failures. With
-   [derived] (compressed-backed chunk) the per-entry hash comparison is
-   skipped except on the first entry, which still ties the chunk to the
-   chain hash carried in from outside the inflation. *)
-let run_chunk_pass ~node ~peer_certs ~auth_by_seq ~first_seq ~prev_hash ~expected_first
-    ~derived entries =
-  let cells = ref [] in
-  let ev e = cells := C_ev e :: !cells in
-  let failf fmt = Printf.ksprintf (fun m -> ev (Ev_fail m)) fmt in
-  let sig_pending = ref [] in
-  let sig_npending = ref 0 in
-  let entries_checked = ref 0 in
-  let auths_matched = ref 0 in
-  let recv_sigs = ref 0 in
-  let prev = ref prev_hash in
-  let expected_seq = ref expected_first in
-  let chain_broken = ref false in
-  let sends = ref [] in
-  let acked = ref [] in
-  let last_seq = ref 0 in
-  List.iter
-    (fun (e : Entry.t) ->
-      let first_entry = !entries_checked = 0 in
-      incr entries_checked;
-      last_seq := e.seq;
-      if not !chain_broken then begin
-        if !expected_seq >= 0 && e.seq <> !expected_seq then begin
-          chain_broken := true;
-          ev
-            (Ev_chain
-               (Printf.sprintf "chain: sequence gap: expected %d, found %d" !expected_seq
-                  e.seq))
-        end
-        else if
-          ((not derived) || first_entry) && not (Entry.chain_ok ~prev:!prev e)
-        then begin
-          chain_broken := true;
-          ev (Ev_chain (Printf.sprintf "chain: hash chain broken at entry %d" e.seq))
-        end
-      end;
-      prev := e.hash;
-      expected_seq := e.seq + 1;
-      List.iter
-        (fun (a : Auth.t) ->
-          if Auth.matches_entry a e then incr auths_matched
-          else
-            failf "authenticator #%d does not match the log (forked or rewritten log)"
-              a.seq)
-        (Hashtbl.find_all auth_by_seq e.seq);
-      match e.content with
-      | Entry.Recv { src; nonce; payload; signature } ->
-        ev (Ev_recv e.seq);
-        if signature <> "" then begin
-          match List.assoc_opt src peer_certs with
-          | None -> failf "entry #%d: no certificate for sender %s" e.seq src
-          | Some cert ->
-            let body = Wireformat.message_body ~src ~dest:node ~nonce ~payload in
-            cells := C_sig !sig_npending :: !cells;
-            sig_pending := (e.seq, cert, body, signature) :: !sig_pending;
-            incr sig_npending
-        end
-      | Entry.Ack { acked_seq; _ } -> acked := acked_seq :: !acked
-      | Entry.Send _ -> sends := e.seq :: !sends
-      | Entry.Exec (Avm_machine.Event.Io_in { msg; _ }) when msg >= 0 ->
-        if msg >= e.seq then failf "entry #%d: rx read references future entry %d" e.seq msg
-        else if msg >= first_seq then ev (Ev_xref (e.seq, msg))
-      | _ -> ())
-    entries;
-  (* Resolve the chunk's deferred signature checks in one batch. *)
-  let pending = Array.of_list (List.rev !sig_pending) in
-  let verdicts =
-    Avm_crypto.Identity.verify_batch
-      (Array.map (fun (_, cert, body, signature) -> (cert, body, signature)) pending)
-  in
-  let events =
-    List.fold_left
-      (fun acc cell ->
-        match cell with
-        | C_ev e -> e :: acc
-        | C_sig i ->
-          if verdicts.(i) then begin
-            incr recv_sigs;
-            acc
-          end
-          else begin
-            let seq, _, _, _ = pending.(i) in
-            Ev_fail (Printf.sprintf "entry #%d: forged RECV — sender signature invalid" seq)
-            :: acc
-          end)
-      [] !cells
-  in
-  {
-    cp_events = events;
-    cp_sends = !sends;
-    cp_acked = !acked;
-    cp_entries = !entries_checked;
-    cp_auths = !auths_matched;
-    cp_recv_sigs = !recv_sigs;
-    cp_broke = !chain_broken;
-    cp_last = !last_seq;
-  }
-
-(* Split [xs] into at most [n] contiguous slices, preserving order. *)
-let slice_list n xs =
-  let len = List.length xs in
-  if len = 0 then []
-  else begin
-    let n = max 1 (min n len) in
-    let per = (len + n - 1) / n in
-    let rec go i acc cur = function
-      | [] -> List.rev (List.rev cur :: acc)
-      | x :: rest ->
-        if i = per then go 1 (List.rev cur :: acc) [ x ] rest
-        else go (i + 1) acc (x :: cur) rest
-    in
-    go 0 [] [] xs
-  end
-
-(* Authenticator signature checks are embarrassingly parallel; slice
-   order is preserved so both the failure list and the [Hashtbl.add]
-   order (which [find_all] reflects) match the sequential pre-pass.
-   Within a slice the signatures go through one batched verification —
-   they all share the node key. *)
-let verify_auth_slice ~node ~node_cert slice =
-  let mine = Array.of_list (List.filter (fun (a : Auth.t) -> String.equal a.node node) slice) in
-  let verdicts = Auth.verify_batch (Array.map (fun a -> (node_cert, a)) mine) in
-  let oks = ref [] in
-  let fails = ref [] in
-  Array.iteri
-    (fun i (a : Auth.t) ->
-      if verdicts.(i) then oks := a :: !oks
-      else
-        fails :=
-          Printf.sprintf "authenticator #%d: bad signature or inconsistent hash" a.seq
-          :: !fails)
-    mine;
-  (List.rev !oks, List.rev !fails)
-
-let stitch ~ack_grace ~auth_failures passes =
-  let failures = ref [] in
-  let push m = failures := m :: !failures in
-  List.iter push auth_failures;
-  let recv_seqs = Hashtbl.create 256 in
-  let broke = ref false in
-  List.iter
-    (fun cp ->
-      List.iter
-        (function
-          | Ev_fail m -> push m
-          | Ev_chain m -> if not !broke then push m
-          | Ev_recv s -> Hashtbl.replace recv_seqs s ()
-          | Ev_xref (seq, msg) ->
-            if not (Hashtbl.mem recv_seqs msg) then
-              push (Printf.sprintf "entry #%d: rx read references non-RECV entry %d" seq msg))
-        cp.cp_events;
-      if cp.cp_broke then broke := true)
-    passes;
-  let acked = Hashtbl.create 64 in
-  List.iter (fun cp -> List.iter (fun s -> Hashtbl.replace acked s ()) cp.cp_acked) passes;
-  let last_seq = List.fold_left (fun _ cp -> cp.cp_last) 0 passes in
-  List.iter
-    (fun seq ->
-      if seq <= last_seq - ack_grace && not (Hashtbl.mem acked seq) then
-        push (Printf.sprintf "entry #%d: SEND was never acknowledged" seq))
-    (List.sort compare (List.concat_map (fun cp -> cp.cp_sends) passes));
-  let report =
-    {
-      entries_checked = List.fold_left (fun n cp -> n + cp.cp_entries) 0 passes;
-      auths_matched = List.fold_left (fun n cp -> n + cp.cp_auths) 0 passes;
-      recv_signatures_verified = List.fold_left (fun n cp -> n + cp.cp_recv_sigs) 0 passes;
-      failures = List.rev !failures;
-    }
-  in
-  record_syntactic_metrics report;
-  report
 
 let chunk_span i f =
   Trace.with_span ~name:"audit.chunk" ~attrs:[ ("chunk", string_of_int i) ] f
 
-let syntactic_parallel ~pool ~node_cert ~peer_certs ~auths ~ack_grace ~first_seq chunks =
-  let node = Avm_crypto.Identity.cert_name node_cert in
-  let verified =
-    Pool.map_list pool (verify_auth_slice ~node ~node_cert) (slice_list (Pool.jobs pool) auths)
+(* One stream per chunk, the first opening the range; all are pushed
+   (concurrently with a pool), flushed, then folded in log order.
+   [chunks] is never empty. *)
+let check_chunks ~ctx ~pool chunks =
+  let auths = auth_index ?pool ~node_cert:ctx.node_cert ctx.auths in
+  let run (i, c) =
+    let s =
+      open_stream ~ctx ~auths ~head:(i = 0) ~derived:c.c_derived ~origin:c.c_origin
+        ~prev_hash:c.c_prev_hash ~expected:c.c_expected
+    in
+    chunk_span i (fun () ->
+        List.iter (syn_push s) (c.c_load ());
+        syn_flush s);
+    s
   in
-  let auth_by_seq = Hashtbl.create 256 in
-  List.iter
-    (fun (oks, _) -> List.iter (fun (a : Auth.t) -> Hashtbl.add auth_by_seq a.seq a) oks)
-    verified;
-  let auth_failures = List.concat_map snd verified in
-  let passes =
-    Pool.map_list pool
-      (fun (i, c) ->
-        chunk_span i (fun () ->
-            run_chunk_pass ~node ~peer_certs ~auth_by_seq ~first_seq
-              ~prev_hash:c.sc_prev_hash ~expected_first:c.sc_expected_first
-              ~derived:c.sc_derived (c.sc_load ())))
-      (List.mapi (fun i c -> (i, c)) chunks)
-  in
-  stitch ~ack_grace ~auth_failures passes
+  match Audit_ctx.map ~par:{ jobs = 1; pool } run (List.mapi (fun i c -> (i, c)) chunks) with
+  | head :: rest ->
+    List.iter (absorb head) rest;
+    syn_finish head
+  | [] -> assert false
 
-(* Chunking a materialized list: contiguous near-equal slices, several
-   per pool lane so the work-stealing scheduler can rebalance uneven
-   chunks (signature-dense slices take far longer than EXEC-dense
-   ones); boundary state comes from the previous slice's last entry,
-   exactly the values the sequential fold carries there. *)
+(* Chunking a materialized list: with a pool, several contiguous
+   near-equal slices per lane so the work-stealing scheduler can
+   rebalance uneven chunks (signature-dense slices take far longer
+   than EXEC-dense ones). Each boundary carries exactly the state the
+   single stream has there. *)
 let chunks_per_lane = 4
 
-let list_chunks ~prev_hash ~lanes entries =
-  let arr = Array.of_list entries in
-  let n = Array.length arr in
-  let pieces = max 1 (min (lanes * chunks_per_lane) n) in
-  let per = (n + pieces - 1) / pieces in
-  let rec go i acc =
-    if i >= n then List.rev acc
-    else begin
-      let hi = min n (i + per) in
-      let sub = Array.sub arr i (hi - i) in
-      go hi
-        ({
-           sc_prev_hash = (if i = 0 then prev_hash else arr.(i - 1).Entry.hash);
-           sc_expected_first = (if i = 0 then -1 else arr.(i - 1).Entry.seq + 1);
-           sc_derived = false;
-           sc_load = (fun () -> Array.to_list sub);
-         }
-        :: acc)
-    end
+let list_chunks ~prev_hash ~pieces entries =
+  let chunk (prev, expected, origin, acc) piece =
+    let c =
+      {
+        c_prev_hash = prev;
+        c_expected = expected;
+        c_origin = origin;
+        c_derived = false;
+        c_load = (fun () -> piece);
+      }
+    in
+    List.fold_left
+      (fun (_, _, origin, acc) (e : Entry.t) ->
+        (e.hash, e.seq + 1, (if origin < 0 then e.seq else origin), acc))
+      (prev, expected, origin, c :: acc)
+      piece
   in
-  go 0 []
+  let _, _, _, acc = List.fold_left chunk (prev_hash, -1, -1, []) (split pieces entries) in
+  List.rev acc
 
 (* Chunking a segment store: one chunk per sealed segment (tail last),
    straight off the index — compressed segments inflate inside the
    worker, through the per-domain cache. *)
 let log_chunks log ~from ~upto =
-  List.map
-    (fun (s : Log.chunk_spec) ->
+  let origin = max 1 from in
+  match Log.chunk_specs log ~from ~upto with
+  | [] ->
+    [
       {
-        sc_prev_hash = s.Log.spec_prev_hash;
-        sc_expected_first = (if s.Log.spec_from <= from then -1 else s.Log.spec_from);
-        sc_derived = s.Log.spec_derived;
-        sc_load = s.Log.spec_load;
-      })
-    (Log.chunk_specs log ~from ~upto)
+        c_prev_hash = Log.prev_hash log from;
+        c_expected = -1;
+        c_origin = origin;
+        c_derived = false;
+        c_load = (fun () -> []);
+      };
+    ]
+  | specs ->
+    List.map
+      (fun (s : Log.chunk_spec) ->
+        {
+          c_prev_hash = s.Log.spec_prev_hash;
+          c_expected = (if s.Log.spec_from <= from then -1 else s.Log.spec_from);
+          c_origin = origin;
+          c_derived = s.Log.spec_derived;
+          c_load = s.Log.spec_load;
+        })
+      specs
 
 let syntactic ~ctx ~prev_hash ~entries ?par () =
-  let sequential () =
-    chunk_span 0 (fun () ->
-        syntactic_feed ~ctx ~prev_hash ~feed:(fun f -> List.iter f entries) ())
-  in
-  Audit_ctx.with_parallelism ?par (fun p ->
-      match p with
-      | Some pool -> (
-        match list_chunks ~prev_hash ~lanes:(Pool.jobs pool) entries with
-        | [] | [ _ ] -> sequential ()
-        | chunks ->
-          syntactic_parallel ~pool ~node_cert:ctx.node_cert ~peer_certs:ctx.peer_certs
-            ~auths:ctx.auths ~ack_grace:ctx.ack_grace
-            ~first_seq:(List.hd entries).Entry.seq chunks)
-      | None -> sequential ())
+  Audit_ctx.with_parallelism ?par (fun pool ->
+      let pieces = match pool with Some p -> Pool.jobs p * chunks_per_lane | None -> 1 in
+      check_chunks ~ctx ~pool (list_chunks ~prev_hash ~pieces entries))
 
 let syntactic_of_log ~ctx ~log ?(from = 1) ?upto ?par () =
   let upto = match upto with Some u -> u | None -> Log.length log in
-  (* The sequential stream walks the same per-segment chunk specs the
-     parallel pass fans out over (their concatenation is exactly
-     [iter_range from..upto]), so both paths record one [audit.chunk]
-     span per sealed segment. A derived (compressed-backed) chunk only
-     pays the full hash check on its first entry — the link into the
-     chunk — because inflation recomputed every hash inside it from
-     that same chain. *)
-  let sequential () =
-    let st = syn_stream ~ctx ~prev_hash:(Log.prev_hash log from) in
-    List.iteri
-      (fun i (spec : Log.chunk_spec) ->
-        chunk_span i (fun () ->
-            let first = ref true in
-            List.iter
-              (fun e ->
-                if !first || not spec.Log.spec_derived then begin
-                  first := false;
-                  syn_push st e
-                end
-                else syn_push_gen ~hash_derived:true st e)
-              (spec.Log.spec_load ())))
-      (Log.chunk_specs log ~from ~upto);
-    syn_finish st
-  in
-  Audit_ctx.with_parallelism ?par (fun p ->
-      match p with
-      | Some pool -> (
-        match log_chunks log ~from ~upto with
-        | [] | [ _ ] -> sequential ()
-        | chunks ->
-          syntactic_parallel ~pool ~node_cert:ctx.node_cert ~peer_certs:ctx.peer_certs
-            ~auths:ctx.auths ~ack_grace:ctx.ack_grace ~first_seq:(max 1 from) chunks)
-      | None -> sequential ())
+  Audit_ctx.with_parallelism ?par (fun pool ->
+      check_chunks ~ctx ~pool (log_chunks log ~from ~upto))
 
 (* --- the unified outcome ------------------------------------------------- *)
 

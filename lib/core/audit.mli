@@ -22,13 +22,15 @@
     {b Configuration.} Every entry point takes [~ctx] (who is audited,
     whose signatures appear in its log, the collected authenticators,
     the ack grace window — see {!ctx}) and [?par] (worker count or a
-    borrowed {!Avm_util.Domain_pool.t} — see {!parallelism}). With
-    more than one lane the syntactic pass fans out one worker per
-    sealed segment and the semantic pass replays snapshot-delimited
-    pieces concurrently ({!Spot_check.parallel_replay}). The parallel
-    passes are stitched so that the outcome — verdict, counters and
-    the failure list, byte for byte — is identical to the sequential
-    pass; the default [par] runs the original sequential code.
+    borrowed {!Avm_util.Domain_pool.t} — see {!parallelism}). The
+    syntactic pass cuts its range into chunks, runs one {!syn_stream}
+    per chunk and folds them in log order into the first; with more
+    than one lane the chunks run concurrently, with one they run
+    inline — the same code either way, so the outcome (verdict,
+    counters and the failure list, byte for byte) is the one a single
+    stream over the whole range reports. With more than one lane the
+    semantic pass replays snapshot-delimited pieces concurrently
+    ({!Spot_check.parallel_replay}).
 
     {b Observability.} Timing fields are monotonic wall-clock
     ({!Avm_obs.Clock}), correct under parallelism. Each pass bumps
@@ -79,7 +81,8 @@ type syntactic_report = {
     entries as they arrive (possibly over minutes of wall clock) and
     reads failures mid-stream — what {!Online_audit} and the service
     daemon run per session. {!syntactic_feed} drives the same
-    machinery over one complete segment. *)
+    machinery over one complete segment, and the batch entry points
+    run one stream per chunk of their range. *)
 
 type syn_stream
 
@@ -132,11 +135,11 @@ val syntactic :
   ?par:parallelism ->
   unit ->
   syntactic_report
-(** {!syntactic_feed} over a materialized list. With more than one
-    lane, the list is cut into several contiguous chunks per lane
-    (finer than one-per-lane so work stealing can rebalance uneven
-    chunks) and checked in parallel, with a report identical to the
-    sequential pass. *)
+(** The report {!syntactic_feed} gives over a materialized list. With
+    more than one lane, the list is cut into several contiguous chunks
+    per lane (finer than one-per-lane so work stealing can rebalance
+    uneven chunks), each checked by its own stream on the pool; with
+    one lane the whole list is one stream. *)
 
 val syntactic_of_log :
   ctx:ctx ->
@@ -146,17 +149,17 @@ val syntactic_of_log :
   ?par:parallelism ->
   unit ->
   syntactic_report
-(** {!syntactic_feed} over a segment store: streams [from..upto]
-    (default: the whole log) segment by segment, inflating compressed
-    segments one at a time. [prev_hash] is taken from the log's own
-    index. With more than one lane, sealed segments are checked
-    concurrently (each worker inflating through its own domain-local
-    cache) and the per-segment results stitched into the same report
-    the sequential stream produces. Chunks backed by compressed
-    segments ([Log.chunk_spec.spec_derived]) pay the per-entry hash
-    comparison only on their first entry — inflation already
-    recomputed the interior chain from the same base, so the boundary
-    link plus sequence checks are equivalent. *)
+(** The report {!syntactic_feed} gives over [from..upto] (default: the
+    whole log) of a segment store, streamed one sealed segment per
+    chunk, so compressed segments inflate one at a time. Each chunk
+    opens at the log index's chain hash for its boundary. With more
+    than one lane the chunks are checked concurrently (each worker
+    inflating through its own domain-local cache); with one they run
+    inline. Chunks backed by compressed segments
+    ([Log.chunk_spec.spec_derived]) pay the per-entry hash comparison
+    only on their first entry — inflation already recomputed the
+    interior chain from the same base, so the boundary link plus
+    sequence checks are equivalent. *)
 
 (** {1 The unified audit outcome} *)
 

@@ -19,3 +19,8 @@ let with_parallelism ?(par = sequential) f =
   match par.pool with
   | Some p -> f (if Pool.jobs p > 1 then Some p else None)
   | None -> if par.jobs > 1 then Pool.with_pool ~jobs:par.jobs (fun p -> f (Some p)) else f None
+
+let map ?par f xs =
+  with_parallelism ?par (function
+    | Some p -> Pool.map_list p f xs
+    | None -> List.map f xs)

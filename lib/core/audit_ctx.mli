@@ -48,3 +48,7 @@ val with_parallelism : ?par:parallelism -> (Avm_util.Domain_pool.t option -> 'a)
     multi-lane [pool] is borrowed as-is; otherwise [jobs > 1] spawns a
     pool scoped to the callback; anything else passes [None] (the
     sequential path). *)
+
+val map : ?par:parallelism -> ('a -> 'b) -> 'a list -> 'b list
+(** [f] over [xs] under {!with_parallelism}: on the pool when there is
+    one, else [List.map]; results in input order either way. *)

@@ -199,10 +199,7 @@ let check_chunks ?par ?cache ~image ~mem_words ~snapshots ~log ~peers chunks =
     check_chunk ~plan:pl ?cache ~image ~mem_words ~snapshots ~log ~peers ~start_snapshot
       ~k ()
   in
-  Audit_ctx.with_parallelism ?par (fun p ->
-      match p with
-      | Some pool -> Avm_util.Domain_pool.map_list pool job chunks
-      | None -> List.map job chunks)
+  Audit_ctx.map ?par job chunks
 
 (* --- snapshot-partitioned full replay (the parallel semantic audit) ------ *)
 

@@ -143,13 +143,7 @@ let run_sharded ?par ?(shards = default_shards) ~f jobs =
     !out
   in
   let shard_specs = List.init shards slice in
-  let per_shard =
-    Audit_ctx.with_parallelism ?par (fun p ->
-        match p with
-        | Some pool -> Avm_util.Domain_pool.map_list pool run_shard shard_specs
-        | None -> List.map run_shard shard_specs)
-  in
-  let verdicts = List.concat per_shard in
+  let verdicts = List.concat (Audit_ctx.map ?par run_shard shard_specs) in
   Avm_obs.Metrics.incr ~by:(List.length verdicts) "witness.jobs";
   Avm_obs.Metrics.incr
     ~by:(List.length (List.filter (fun v -> not v.ok) verdicts))

@@ -146,7 +146,7 @@ let refresh_gauges t =
   Metrics.set "service.lag_entries_p99" (float_of_int (nth_pct 99));
   List.iter (fun l -> Metrics.observe "service.lag_entries" (float_of_int l)) lags
 
-let pump t ~budget_instructions ?(par = Avm_core.Audit_ctx.sequential) () =
+let pump t ~budget_instructions ?par () =
   Trace.with_span ~name:"service.pump"
     ~attrs:[ ("sessions", string_of_int (Hashtbl.length t.sessions)) ]
   @@ fun () ->
@@ -159,14 +159,7 @@ let pump t ~budget_instructions ?(par = Avm_core.Audit_ctx.sequential) () =
     |> List.map snd
   in
   let step s = ignore (OA.Session.step s.s_session ~budget_instructions : OA.verdict option) in
-  (match par.Avm_core.Audit_ctx.pool with
-  | Some pool when Avm_util.Domain_pool.jobs pool > 1 ->
-    ignore (Avm_util.Domain_pool.map_list pool step order : unit list)
-  | _ ->
-    if par.Avm_core.Audit_ctx.jobs > 1 then
-      Avm_util.Domain_pool.with_pool ~jobs:par.Avm_core.Audit_ctx.jobs (fun pool ->
-          ignore (Avm_util.Domain_pool.map_list pool step order : unit list))
-    else List.iter step order);
+  ignore (Avm_core.Audit_ctx.map ?par step order : unit list);
   (* Verdicts are delivered sequentially on the calling domain, in
      session-id order, whatever the stepping order was. *)
   let fired =

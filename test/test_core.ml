@@ -1175,32 +1175,42 @@ let test_syntactic_single_pass () =
 (* --- parallel audit = sequential audit --------------------------------------- *)
 
 (* The acceptance bar for the domain-parallel engine: at any job count,
-   both syntactic entry points must produce reports *structurally
-   identical* to the sequential pass — same counters, same failure
-   strings in the same order — on honest logs and on every tamper op. *)
+   every syntactic entry point must produce reports *structurally
+   identical* to one [syntactic_feed] stream — same counters, same
+   failure strings in the same order — on honest logs and on every
+   tamper op: over the list, a memory store, a compressed store (whose
+   derived chunks skip interior hash checks) and a mid-log range. *)
 let check_parallel_syntactic ~name entries auths =
-  let syn ?par ~entries () =
-    Audit.syntactic ~ctx:(ctx_ab auths) ~prev_hash:Log.genesis_hash ~entries ?par ()
+  let ctx = ctx_ab auths in
+  let feed ~prev_hash entries =
+    Audit.syntactic_feed ~ctx ~prev_hash ~feed:(fun push -> List.iter push entries) ()
   in
-  let seq = syn ~entries () in
+  let reference = feed ~prev_hash:Log.genesis_hash entries in
+  let from = List.length entries / 3 in
+  let mid_reference =
+    feed
+      ~prev_hash:(List.nth entries (from - 2)).Entry.hash
+      (List.filteri (fun i _ -> i >= from - 1) entries)
+  in
   let seg_log = Log.of_entries ~seal_every:50 entries in
+  let packed = Log.of_entries ~seal_every:50 entries in
+  Alcotest.(check bool) (name ^ ": compressed segments") true (Log.compress_sealed packed > 0);
+  let same what expected got =
+    Alcotest.(check (list string)) (what ^ " failures") expected.Audit.failures got.Audit.failures;
+    Alcotest.(check bool) (what ^ " report") true (expected = got)
+  in
   List.iter
     (fun jobs ->
-      let par = syn ~par:(Audit.parallel jobs) ~entries () in
-      Alcotest.(check (list string))
-        (Printf.sprintf "%s: list failures (jobs=%d)" name jobs)
-        seq.Audit.failures par.Audit.failures;
-      Alcotest.(check bool) (Printf.sprintf "%s: list report (jobs=%d)" name jobs) true
-        (seq = par);
-      let par_log =
-        Audit.syntactic_of_log ~ctx:(ctx_ab auths) ~log:seg_log
-          ~par:(Audit.parallel jobs) ()
-      in
-      Alcotest.(check (list string))
-        (Printf.sprintf "%s: store failures (jobs=%d)" name jobs)
-        seq.Audit.failures par_log.Audit.failures;
-      Alcotest.(check bool) (Printf.sprintf "%s: store report (jobs=%d)" name jobs) true
-        (seq = par_log))
+      let par = Audit.parallel jobs in
+      let at what = Printf.sprintf "%s: %s (jobs=%d)" name what jobs in
+      same (at "list") reference
+        (Audit.syntactic ~ctx ~prev_hash:Log.genesis_hash ~entries ~par ());
+      List.iter
+        (fun (store, log) ->
+          same (at store) reference (Audit.syntactic_of_log ~ctx ~log ~par ());
+          same (at (store ^ " from")) mid_reference
+            (Audit.syntactic_of_log ~ctx ~log ~from ~par ()))
+        [ ("store", seg_log); ("compressed", packed) ])
     [ 1; 2; 4 ]
 
 let test_parallel_syntactic_honest_and_tampered () =
@@ -1248,7 +1258,35 @@ let test_parallel_syntactic_honest_and_tampered () =
   | Some seq ->
     Log.tamper_reseal (Avmm.log b) seq
       (Entry.Recv { src = "alice"; nonce = 9; payload = "gift"; signature = "forged" }));
-  check_parallel_syntactic ~name:"forged-recv" (entries_of b) auths
+  check_parallel_syntactic ~name:"forged-recv" (entries_of b) auths;
+  (* the last rx read, resealed to reference an entry chunks before it:
+     [pick ~n e] selects the target in a log of [n] entries *)
+  let retarget ~name pick =
+    let b, auths = record_with_auths () in
+    let entries = entries_of b in
+    let n = List.length entries in
+    match
+      List.rev
+        (List.filter_map
+           (fun (e : Entry.t) ->
+             match e.content with
+             | Entry.Exec (Avm_machine.Event.Io_in { port; value; msg }) when msg >= 0 ->
+               Some (e.seq, port, value)
+             | _ -> None)
+           entries)
+    with
+    | [] -> Alcotest.fail "no rx read"
+    | (seq, port, value) :: _ ->
+      let target = (List.find (pick ~n) entries).Entry.seq in
+      Alcotest.(check bool) (name ^ ": target well before the read") true (target < seq - 100);
+      Log.tamper_reseal (Avmm.log b) seq
+        (Entry.Exec (Avm_machine.Event.Io_in { port; value; msg = target }));
+      check_parallel_syntactic ~name (entries_of b) auths
+  in
+  let is_recv (e : Entry.t) = match e.content with Entry.Recv _ -> true | _ -> false in
+  retarget ~name:"rx early non-RECV" (fun ~n:_ e -> not (is_recv e));
+  retarget ~name:"rx early RECV" (fun ~n:_ e -> is_recv e);
+  retarget ~name:"rx mid non-RECV" (fun ~n (e : Entry.t) -> e.seq >= n / 2 && not (is_recv e))
 
 (* Full audits (syntactic + snapshot-partitioned semantic replay) at
    jobs in {1, 2, 4} against the sequential report. The semantic
