@@ -506,7 +506,7 @@ let conclude ~(ctx : ctx) ~syn ~prev_hash ~segment ~t0 ~t1 ~semantic =
       }
   end
 
-let full ~ctx ~image ?mem_words ?start ?fuel ~peers ?cache ~prev_hash ~entries ?par () =
+let full ~ctx ~image ?mem_words ?start ?fuel ~peers ~prev_hash ~entries ?par () =
   Audit_ctx.with_parallelism ?par (fun p ->
       let par = { jobs = 1; pool = p } in
       let t0 = Clock.now_s () in
@@ -519,9 +519,9 @@ let full ~ctx ~image ?mem_words ?start ?fuel ~peers ?cache ~prev_hash ~entries ?
         ~segment:(fun () -> entries)
         ~t0 ~t1
         ~semantic:(fun () ->
-          Replay.replay ~image ?mem_words ?start ?fuel ~peers ?cache ~entries ()))
+          Replay.replay ~image ?mem_words ?start ?fuel ~peers ~entries ()))
 
-let full_of_log ~ctx ~image ?mem_words ?start ?fuel ~peers ?cache ~log ?(from = 1) ?upto
+let full_of_log ~ctx ~image ?mem_words ?start ?fuel ~peers ~log ?(from = 1) ?upto
     ?snapshots ?par () =
   let upto = match upto with Some u -> u | None -> Log.length log in
   Audit_ctx.with_parallelism ?par (fun p ->
@@ -538,10 +538,10 @@ let full_of_log ~ctx ~image ?mem_words ?start ?fuel ~peers ?cache ~log ?(from = 
       let semantic () =
         match (p, snapshots, start) with
         | Some pool, Some snaps, None when from = 1 ->
-          Spot_check.parallel_replay ~par:{ jobs = Pool.jobs pool; pool = Some pool } ?cache
-            ~image ?mem_words ?fuel ~snapshots:snaps ~log ~peers ~upto ()
+          Spot_check.parallel_replay ~par:{ jobs = Pool.jobs pool; pool = Some pool } ~image
+            ?mem_words ?fuel ~snapshots:snaps ~log ~peers ~upto ()
         | _ ->
-          Replay.replay_chunks ~image ?mem_words ?start ?fuel ~peers ?cache
+          Replay.replay_chunks ~image ?mem_words ?start ?fuel ~peers
             ~chunks:(Log.chunk_seq log ~from ~upto) ()
       in
       conclude ~ctx ~syn

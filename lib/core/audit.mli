@@ -182,7 +182,6 @@ val full :
   ?start:Avm_machine.Machine.t ->
   ?fuel:int ->
   peers:(int * string) list ->
-  ?cache:Replay_cache.t ->
   prev_hash:string ->
   entries:Avm_tamperlog.Entry.t list ->
   ?par:parallelism ->
@@ -192,8 +191,7 @@ val full :
     the syntactic check passes (a broken chain is already evidence).
     [par] parallelizes the syntactic pass; the semantic replay of a
     bare entry list has no snapshot boundaries to cut at and stays
-    sequential. [cache] memoizes the semantic pass fleet-wide
-    ({!Replay_cache}); verdicts are identical cache-on vs cache-off. *)
+    sequential. *)
 
 val full_of_log :
   ctx:ctx ->
@@ -202,7 +200,6 @@ val full_of_log :
   ?start:Avm_machine.Machine.t ->
   ?fuel:int ->
   peers:(int * string) list ->
-  ?cache:Replay_cache.t ->
   log:Avm_tamperlog.Log.t ->
   ?from:int ->
   ?upto:int ->

@@ -351,27 +351,15 @@ module Session = struct
       c.c_fed <- c.c_fed + 1
     done
 
-  (* The head chunk replayed to completion: settle its cache protocol
-     (confirm a spot-designated hit, or remember a fresh outcome) and
-     retire it. The engine stays — it is already positioned at the next
-     chunk's start. *)
-  let complete_chunk t c e =
-    (match t.cache with
+  (* The head chunk's replay ended — verified ([Some] counts) or
+     diverged ([None]): settle its cache protocol, confirming or
+     evicting a spot-designated hit and remembering a verified miss. *)
+  let settle_chunk t c verified =
+    match t.cache with
     | Some cache when c.c_end <> None ->
-      let instr = Replay.replayed_instructions e - c.c_start_instr in
       let p = match c.c_print with Some p -> p | None -> fingerprint t c in
-      (match c.c_spot with
-      | Some cached ->
-        let matched =
-          cached.Replay_cache.instructions = instr
-          && cached.Replay_cache.entries_consumed = c.c_n
-        in
-        Replay_cache.confirm_spot cache p ~matched
-      | None ->
-        Replay_cache.remember cache p ~peers_sensitive:c.c_emitted ~instructions:instr
-          ~entries_consumed:c.c_n ())
-    | _ -> ());
-    retire_chunk t c
+      Replay_cache.settle cache p ~spot:c.c_spot ~emitted:c.c_emitted verified
+    | _ -> ()
 
   let rec drive t remaining =
     if t.verdict = None && remaining > 0 then
@@ -384,7 +372,7 @@ module Session = struct
         if c.c_end <> None && c.c_fed = 0 && c.c_print = None && hits_usable t then begin
           let p = fingerprint t c in
           c.c_print <- Some p;
-          match Replay_cache.find (Option.get t.cache) ~fuel:Replay.default_fuel p with
+          match Replay_cache.find (Option.get t.cache) p with
           | `Hit _ -> retire_hit t c
           | `Spot cached -> c.c_spot <- Some cached
           | `Miss -> ()
@@ -402,18 +390,21 @@ module Session = struct
             feed_unfed c e;
             let before = Replay.replayed_instructions e in
             let res, emitted =
-              if t.cache <> None then
-                Replay_cache.measure_replay (fun () -> Replay.crank e ~fuel:remaining)
-              else (Replay.crank e ~fuel:remaining, false)
+              Replay_cache.measure_replay (fun () -> Replay.crank e ~fuel:remaining)
             in
             c.c_emitted <- c.c_emitted || emitted;
             let remaining = remaining - (Replay.replayed_instructions e - before) in
             (match res with
-            | `Fault d -> set_verdict t (Diverged d)
+            | `Fault d ->
+              settle_chunk t c None;
+              set_verdict t (Diverged d)
             | `Fuel_exhausted -> ()
             | `Blocked ->
               if c.c_end <> None && Queue.is_empty c.c_unfed then begin
-                complete_chunk t c e;
+                (* The engine stays: it is already at the next chunk's start. *)
+                let instructions = Replay.replayed_instructions e - c.c_start_instr in
+                settle_chunk t c (Some { Replay_cache.instructions; entries_consumed = c.c_n });
+                retire_chunk t c;
                 drive t remaining
               end
               (* else: open tail drained — wait for more entries *))

@@ -85,8 +85,12 @@ let feed_entry e (entry : Entry.t) =
   e.fed <- e.fed + 1;
   if e.first_seq < 0 then e.first_seq <- entry.Entry.seq;
   (match entry.content with
-  | Entry.Recv { payload; _ } ->
-    Hashtbl.replace e.recvs entry.seq (Wireformat.words_of_payload payload)
+  | Entry.Recv { payload; _ } -> (
+    (* A payload of the audited log that does not decode is no RECV the
+       guest can read: a read of it diverges below instead of raising. *)
+    match Wireformat.words_of_payload payload with
+    | words -> Hashtbl.replace e.recvs entry.seq words
+    | exception Avm_util.Wire.Malformed _ -> ())
   | _ -> ());
   if is_active entry then push_active e entry
 
@@ -105,7 +109,7 @@ let crossref_check e ~entry_seq ~msg ~value at =
              kind = Crossref_mismatch;
              at;
              entry_seq = Some entry_seq;
-             detail = Printf.sprintf "rx read references entry %d which is not a RECV" msg;
+             detail = Printf.sprintf "rx read references entry %d which is not a readable RECV" msg;
            })
   | Some words ->
     let idx = Option.value ~default:0 (Hashtbl.find_opt e.rx_read msg) in
@@ -330,49 +334,14 @@ let crank e ~fuel =
     Avm_obs.Metrics.incr ~by:(Machine.icount e.machine - icount0) "replay.instructions";
     match !result with Some r -> r | None -> assert false)
 
-let default_fuel = 200_000_000
-
-(* The memoization protocol shared by every cached replay path (here,
-   Spot_check, and through them Audit/Witness): on a hit the exact
-   Verified payload of the original replay is reconstructed, so the
-   outcome — and every verdict derived from it — is byte-identical
-   cache-on vs cache-off; a spot-designated hit replays anyway and
-   reports disagreement as a poisoned entry; only verified outcomes
-   are remembered. *)
-let with_cache ?cache ~fuel ~print ~replay () =
-  match cache with
-  | Some c -> (
-    let p = print () in
-    match Replay_cache.find c ~fuel p with
-    | `Hit { Replay_cache.instructions; entries_consumed } ->
-      Verified { instructions; entries_consumed }
-    | `Spot cached ->
-      let o = replay () in
-      let matched =
-        match o with
-        | Verified { instructions; entries_consumed } ->
-          instructions = cached.Replay_cache.instructions
-          && entries_consumed = cached.Replay_cache.entries_consumed
-        | Diverged _ -> false
-      in
-      Replay_cache.confirm_spot c p ~matched;
-      o
-    | `Miss ->
-      let o, emitted = Replay_cache.measure_replay replay in
-      (match o with
-      | Verified { instructions; entries_consumed } ->
-        Replay_cache.remember c p ~peers_sensitive:emitted ~instructions
-          ~entries_consumed ()
-      | Diverged _ -> ());
-      o)
-  | _ -> replay ()
+let default_fuel = Replay_cache.fuel
 
 (* Drive an engine over a lazy stream of log chunks. Compressed
    segments inflate only when the replay actually reaches them: each
    chunk is fed, cranked until the engine blocks, and only then is the
    next chunk forced. *)
-let replay_chunks_raw ~image ?mem_words ?start ?(fuel = default_fuel) ?strict_landmarks
-    ~peers ~chunks () =
+let replay_chunks ~image ?mem_words ?start ?(fuel = default_fuel) ?strict_landmarks ~peers
+    ~chunks () =
   let e = engine ~image ?mem_words ?start ?strict_landmarks ~peers () in
   let stalled () =
     Diverged
@@ -419,35 +388,6 @@ let replay_chunks_raw ~image ?mem_words ?start ?(fuel = default_fuel) ?strict_la
   in
   go chunks fuel
 
-(* Caching forces the stream up front: the fingerprint must cover every
-   entry before any outcome can be reused, and the chunks Seq is
-   single-shot, so a hit that had already forced it lazily would leave
-   nothing for the miss path. [Spot_check] keeps segment-at-a-time
-   laziness on its own cached paths by fingerprinting straight off the
-   log index instead. *)
-let replay_chunks ~image ?mem_words ?start ?(fuel = default_fuel) ?strict_landmarks ~peers
-    ?cache ~chunks () =
-  match cache with
-  | Some _ ->
-    let entries = List.concat (List.of_seq chunks) in
-    let machine =
-      match start with
-      | Some m -> m
-      | None -> (
-        match mem_words with
-        | Some w -> Machine.create ~mem_words:w image
-        | None -> Machine.create image)
-    in
-    with_cache ?cache ~fuel
-      ~print:(fun () ->
-        Replay_cache.fingerprint ~image ?mem_words ?strict_landmarks ~peers
-          ~pre_state:(Snapshot.machine_digest machine) entries)
-      ~replay:(fun () ->
-        replay_chunks_raw ~image ?mem_words ~start:machine ~fuel ?strict_landmarks ~peers
-          ~chunks:(Seq.return entries) ())
-      ()
-  | _ -> replay_chunks_raw ~image ?mem_words ?start ~fuel ?strict_landmarks ~peers ~chunks ()
-
-let replay ~image ?mem_words ?start ?fuel ?strict_landmarks ~peers ?cache ~entries () =
-  replay_chunks ~image ?mem_words ?start ?fuel ?strict_landmarks ~peers ?cache
+let replay ~image ?mem_words ?start ?fuel ?strict_landmarks ~peers ~entries () =
+  replay_chunks ~image ?mem_words ?start ?fuel ?strict_landmarks ~peers
     ~chunks:(Seq.return entries) ()

@@ -46,7 +46,8 @@ type outcome =
 val pp_outcome : Format.formatter -> outcome -> unit
 
 val default_fuel : int
-(** 200M instructions — the default replay budget. *)
+(** 200M instructions — the default replay budget, and the one every
+    cached path runs under ({!Replay_cache.fuel}). *)
 
 val replay :
   image:int array ->
@@ -55,7 +56,6 @@ val replay :
   ?fuel:int ->
   ?strict_landmarks:bool ->
   peers:(int * string) list ->
-  ?cache:Replay_cache.t ->
   entries:Avm_tamperlog.Entry.t list ->
   unit ->
   outcome
@@ -77,7 +77,6 @@ val replay_chunks :
   ?fuel:int ->
   ?strict_landmarks:bool ->
   peers:(int * string) list ->
-  ?cache:Replay_cache.t ->
   chunks:Avm_tamperlog.Entry.t list Seq.t ->
   unit ->
   outcome
@@ -85,28 +84,7 @@ val replay_chunks :
     (one per sealed segment — see [Log.chunk_seq]): each chunk is fed
     and the engine cranked until it blocks before the next chunk is
     forced, so compressed segments inflate only as the replay reaches
-    them. [replay] is [replay_chunks] over a singleton stream.
-
-    With [cache] the stream is forced up front, fingerprinted against
-    the start state, and the memo protocol applies: a hit returns the
-    original replay's [Verified] payload without executing an
-    instruction, a spot-designated or missing fingerprint replays
-    fully, and only verified outcomes are remembered. *)
-
-val with_cache :
-  ?cache:Replay_cache.t ->
-  fuel:int ->
-  print:(unit -> Replay_cache.print) ->
-  replay:(unit -> outcome) ->
-  unit ->
-  outcome
-(** The memo protocol itself, for callers (e.g. {!Spot_check}) that
-    fingerprint without materializing entries: [print] is forced only
-    when a cache is present; [replay] only on miss or
-    spot-check. Guarantees the outcome equals what [replay ()] would
-    return, except against a poisoned cache entry on a non-designated
-    fingerprint — the window {!Replay_cache}'s seeded spot checks
-    bound. *)
+    them. [replay] is [replay_chunks] over a singleton stream. *)
 
 (** {1 Incremental engine}
 

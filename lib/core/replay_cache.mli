@@ -49,7 +49,11 @@ val create : ?capacity:int -> ?stripes:int -> ?spot_rate:int -> ?seed:int64 -> u
 val clear : t -> unit
 val size : t -> int
 val capacity : t -> int
-val spot_rate : t -> int
+
+val fuel : int
+(** The replay budget of every cached path ({!Replay.default_fuel} is
+    this constant). A remembered replay that needed more instructions
+    is never a hit. *)
 
 (** {1 Fingerprints} *)
 
@@ -94,26 +98,47 @@ val fingerprint :
 val key_hex : print -> string
 (** Hex of the lookup key (tests, debugging). *)
 
-val chunk_bytes : print -> int
-(** Total {!Avm_tamperlog.Entry.wire_size} of the fingerprinted chunk —
-    what a hit saves re-walking at instruction level. *)
+(** {1 The memo protocol}
 
-(** {1 The memo protocol} *)
+    {!Spot_check.check_chunk} runs it through {!memo};
+    {!Online_audit.Session} calls {!find} and later {!settle}. *)
 
 type cached = { instructions : int; entries_consumed : int }
 (** What the original verified replay measured — a hit reconstructs
     the exact [Replay.Verified] payload, so verdict vectors are
     byte-identical cache-on vs cache-off. *)
 
-val find : t -> fuel:int -> print -> [ `Hit of cached | `Spot of cached | `Miss ]
+val find : t -> print -> [ `Hit of cached | `Spot of cached | `Miss ]
 (** [`Hit c]: fingerprint present and {e both} claim digests equal the
     cached ones — the chunk is verified without replay. [`Spot c]:
     same, but this fingerprint is designated for spot-check replay;
-    the caller must replay fully and then {!confirm_spot}. [`Miss]:
-    absent, claims differ (counted under
+    the caller must replay fully and then {!settle} with [~spot:(Some
+    c)]. [`Miss]: absent, claims differ (counted under
     [replay.cache_claim_mismatches]), or the cached replay needed more
-    than [fuel] instructions. Bumps [replay.cache_hits] /
+    than {!fuel} instructions. Bumps [replay.cache_hits] /
     [replay.cache_misses] / [replay.cache_bytes_saved]. *)
+
+val settle : t -> print -> spot:cached option -> emitted:bool -> cached option -> unit
+(** The post-replay half of the protocol. [settle t p ~spot ~emitted
+    verified] reports a finished replay of [p]: [verified] is its
+    counts, [None] if it diverged. After a spot-designated hit
+    ([spot = Some c]) the entry is confirmed if [verified = Some c],
+    and otherwise evicted and counted under [replay.cache_poisoned].
+    After a miss ([spot = None]) a verified replay is remembered, with
+    [emitted] (did it emit guest packets? see {!measure_replay}) as its
+    peers sensitivity. *)
+
+val memo :
+  t -> print:(unit -> print) -> hit:(cached -> 'a) -> counts:('a -> cached option) ->
+  (unit -> 'a) -> 'a
+(** [memo t ~print ~hit ~counts replay] runs the whole protocol around
+    one replay thunk: {!find} on [print ()], [hit] on a plain hit,
+    otherwise [replay ()] under {!measure_replay} followed by {!settle}
+    on its [counts]. The outcome equals what [replay ()] would return,
+    except against a poisoned entry on a non-designated fingerprint —
+    the window the seeded spot checks bound. Each path's wall time,
+    fingerprint included, lands in [spot_check.cache_hit_seconds],
+    [spot_check.cache_spot_seconds] or [spot_check.cache_miss_seconds]. *)
 
 val remember :
   t -> print -> ?peers_sensitive:bool -> instructions:int -> entries_consumed:int ->
@@ -143,11 +168,6 @@ val measure_replay : (unit -> 'a) -> 'a * bool
     concurrent domains can only inflate the answer — pollution makes
     an entry peers-sensitive that needn't be, costing cross-peer hits
     but never soundness. *)
-
-val confirm_spot : t -> print -> matched:bool -> unit
-(** Report a spot-check replay's result against the cached entry.
-    [matched = false] means the table lied: the entry is evicted and
-    [replay.cache_poisoned] bumped. *)
 
 type stats = {
   hits : int;

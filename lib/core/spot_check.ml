@@ -89,48 +89,6 @@ let downloaded_state pl ~image ?mem_words ~log (b : boundary) =
   authenticated_state ~image ?mem_words ~digest:(logged_digest log b) ~at_icount:b.at_icount
     ~entry_seq:b.entry_seq (chain_to pl b.snapshot_seq)
 
-(* Memoize one log range: fingerprint straight off the log (segment at
-   a time, no entry list materialized), then run the [Replay.with_cache]
-   protocol generalized to carry a report alongside the outcome. The
-   per-path wall clocks feed the dedup bench: spot-designated hits are
-   full replays of fingerprint-identical chunks, so
-   [cache_spot_seconds] / [cache_hit_seconds] is a like-for-like
-   measure of what each hit avoided. *)
-let with_range_cache ?cache ~fuel ~image ?mem_words ?strict_landmarks ~peers ~log
-    ~pre_state ~from ~upto ~(on_hit : Replay_cache.cached -> 'a) ~(full : unit -> 'a)
-    ~(outcome_of : 'a -> Replay.outcome) () =
-  match cache with
-  | Some c -> (
-    let t0 = Avm_obs.Clock.now_s () in
-    let f = Replay_cache.fp_create ~image ?mem_words ?strict_landmarks ~peers ~pre_state () in
-    Log.iter_range log ~from ~upto (Replay_cache.fp_feed f);
-    let p = Replay_cache.fp_finish f in
-    let clocked name r =
-      Avm_obs.Metrics.observe name (Avm_obs.Clock.now_s () -. t0);
-      r
-    in
-    let counts_match cached = function
-      | Replay.Verified { instructions; entries_consumed } ->
-        instructions = cached.Replay_cache.instructions
-        && entries_consumed = cached.Replay_cache.entries_consumed
-      | Replay.Diverged _ -> false
-    in
-    match Replay_cache.find c ~fuel p with
-    | `Hit cached -> clocked "spot_check.cache_hit_seconds" (on_hit cached)
-    | `Spot cached ->
-      let r = full () in
-      Replay_cache.confirm_spot c p ~matched:(counts_match cached (outcome_of r));
-      clocked "spot_check.cache_spot_seconds" r
-    | `Miss ->
-      let r, emitted = Replay_cache.measure_replay full in
-      (match outcome_of r with
-      | Replay.Verified { instructions; entries_consumed } ->
-        Replay_cache.remember c p ~peers_sensitive:emitted ~instructions
-          ~entries_consumed ()
-      | Replay.Diverged _ -> ());
-      clocked "spot_check.cache_miss_seconds" r)
-  | _ -> full ()
-
 let check_chunk ?plan:pl ?cache ~image ~mem_words ~snapshots ~log ~peers ~start_snapshot
     ~k () =
   Avm_obs.Trace.with_span ~name:"spot_check.chunk"
@@ -173,22 +131,37 @@ let check_chunk ?plan:pl ?cache ~image ~mem_words ~snapshots ~log ~peers ~start_
     { start_snapshot; k; state_bytes; log_bytes_compressed; replay_instructions; outcome }
   in
   let report =
-    with_range_cache ?cache ~fuel:Replay.default_fuel ~image ~mem_words ~peers ~log
-      ~pre_state:(logged_digest log start_b) ~from ~upto
-      ~on_hit:(fun { Replay_cache.instructions; entries_consumed } ->
-        (* Nothing downloaded, nothing executed: the audit is the
-           three-digest compare, and the report says so. *)
-        {
-          start_snapshot;
-          k;
-          state_bytes = 0;
-          log_bytes_compressed = 0;
-          replay_instructions = 0;
-          outcome = Replay.Verified { instructions; entries_consumed };
-        })
-      ~full
-      ~outcome_of:(fun r -> r.outcome)
-      ()
+    match cache with
+    | None -> full ()
+    | Some c ->
+      (* Fingerprinted straight off the log, segment at a time, against
+         the logged boundary digest. *)
+      let print () =
+        let f =
+          Replay_cache.fp_create ~image ~mem_words ~peers ~pre_state:(logged_digest log start_b)
+            ()
+        in
+        Log.iter_range log ~from ~upto (Replay_cache.fp_feed f);
+        Replay_cache.fp_finish f
+      in
+      Replay_cache.memo c ~print
+        ~hit:(fun { Replay_cache.instructions; entries_consumed } ->
+          (* Nothing downloaded, nothing executed: the audit is the
+             three-digest compare, and the report says so. *)
+          {
+            start_snapshot;
+            k;
+            state_bytes = 0;
+            log_bytes_compressed = 0;
+            replay_instructions = 0;
+            outcome = Replay.Verified { instructions; entries_consumed };
+          })
+        ~counts:(fun r ->
+          match r.outcome with
+          | Replay.Verified { instructions; entries_consumed } ->
+            Some { Replay_cache.instructions; entries_consumed }
+          | Replay.Diverged _ -> None)
+        full
   in
   Avm_obs.Metrics.incr "spot_check.chunks_checked";
   report
@@ -227,7 +200,7 @@ let pieces pl ~upto =
   in
   go `Fresh 1 cuts
 
-let replay_piece pl ~image ?mem_words ?fuel ?cache ~peers ~log piece =
+let replay_piece pl ~image ?mem_words ?fuel ~peers ~log piece =
   Avm_obs.Trace.with_span ~name:"replay.piece"
     ~attrs:
       [ ("from", string_of_int piece.pc_from); ("upto", string_of_int piece.pc_upto) ]
@@ -239,24 +212,11 @@ let replay_piece pl ~image ?mem_words ?fuel ?cache ~peers ~log piece =
       ()
   in
   match piece.pc_start with
-  | `Fresh ->
-    (* The boot piece has no boundary claim to fingerprint against;
-       Replay computes the fresh machine's state digest itself. *)
-    Replay.replay_chunks ~image ?mem_words ?fuel ~peers ?cache
-      ~chunks:(Log.chunk_seq log ~from:piece.pc_from ~upto:piece.pc_upto)
-      ()
-  | `Boundary b ->
-    with_range_cache ?cache
-      ~fuel:(Option.value fuel ~default:Replay.default_fuel)
-      ~image ?mem_words ~peers ~log ~pre_state:(logged_digest log b) ~from:piece.pc_from
-      ~upto:piece.pc_upto
-      ~on_hit:(fun { Replay_cache.instructions; entries_consumed } ->
-        Replay.Verified { instructions; entries_consumed })
-      ~full:(fun () ->
-        match downloaded_state pl ~image ?mem_words ~log b with
-        | Error d -> Replay.Diverged d
-        | Ok machine -> replay (Some machine))
-      ~outcome_of:Fun.id ()
+  | `Fresh -> replay None
+  | `Boundary b -> (
+    match downloaded_state pl ~image ?mem_words ~log b with
+    | Error d -> Replay.Diverged d
+    | Ok machine -> replay (Some machine))
 
 (* Merge per-piece outcomes in sequence order: the earliest diverged
    piece wins (its replay saw exactly the states the sequential pass
@@ -271,10 +231,10 @@ let merge_outcomes outcomes =
   in
   go 0 0 outcomes
 
-let parallel_replay ?par ?cache ~image ?mem_words ?fuel ~snapshots ~log ~peers ?upto () =
+let parallel_replay ?par ~image ?mem_words ?fuel ~snapshots ~log ~peers ?upto () =
   let upto = match upto with Some u -> u | None -> Log.length log in
   let streaming () =
-    Replay.replay_chunks ~image ?mem_words ?fuel ~peers ?cache
+    Replay.replay_chunks ~image ?mem_words ?fuel ~peers
       ~chunks:(Log.chunk_seq log ~from:1 ~upto)
       ()
   in
@@ -290,5 +250,5 @@ let parallel_replay ?par ?cache ~image ?mem_words ?fuel ~snapshots ~log ~peers ?
         | ps ->
           merge_outcomes
             (Avm_util.Domain_pool.map_list pool
-               (replay_piece pl ~image ?mem_words ?fuel ?cache ~peers ~log)
+               (replay_piece pl ~image ?mem_words ?fuel ~peers ~log)
                ps)))

@@ -80,11 +80,12 @@ val check_chunk :
     boundary index and re-sorts the snapshot chain.
 
     With [cache], the chunk is fingerprinted against the {e logged}
-    boundary digest (no state materialized) and the {!Replay_cache}
-    memo protocol applies: a hit skips the state download and the
+    boundary digest (no state materialized) and run through
+    {!Replay_cache.memo}: a hit skips the state download and the
     replay outright — the fleet dedup fast path — which is sound
-    because entries are only remembered after a miss-path
-    [downloaded_state] authenticated that same claimed digest.
+    because entries are only remembered after a miss-path replay
+    from downloaded state authenticated against that same claimed
+    digest.
     @raise Invalid_argument if the chunk runs past the last snapshot. *)
 
 val check_chunks :
@@ -104,7 +105,6 @@ val check_chunks :
 
 val parallel_replay :
   ?par:Audit_ctx.parallelism ->
-  ?cache:Replay_cache.t ->
   image:int array ->
   ?mem_words:int ->
   ?fuel:int ->

@@ -209,30 +209,46 @@ let test_log_truncation_fails_replay () =
   | Replay.Verified _ -> ()
   | o -> Alcotest.failf "prefix should verify: %s" (Format.asprintf "%a" Replay.pp_outcome o)
 
+(* The first word the guest read from a received packet:
+   (rx-read entry seq, value, RECV entry seq). *)
+let first_rx_read entries =
+  List.find_map
+    (fun (e : Entry.t) ->
+      match e.content with
+      | Entry.Exec (Avm_machine.Event.Io_in { port; value; msg })
+        when msg >= 0 && port = Avm_isa.Isa.port_net_rx ->
+        Some (e.seq, value, msg)
+      | _ -> None)
+    entries
+
 let test_crossref_mismatch () =
   (* Bob alters a received packet between logging RECV and injecting it
      into the AVM: the Io_in entries disagree with the RECV entry. *)
   let _, b = run_pair ~slices:30 () in
-  let entries = entries_of b in
   (* Find an rx-read event and corrupt its value, resealing the chain
      like a competent cheater would. *)
   let log = Avmm.log b in
-  let target =
-    List.find_map
-      (fun (e : Entry.t) ->
-        match e.content with
-        | Entry.Exec (Avm_machine.Event.Io_in { port; value; msg })
-          when msg >= 0 && port = Avm_isa.Isa.port_net_rx ->
-          Some (e.seq, value, msg)
-        | _ -> None)
-      entries
-  in
-  match target with
+  match first_rx_read (entries_of b) with
   | None -> Alcotest.fail "no rx read found in log"
   | Some (seq, value, msg) ->
     Log.tamper_reseal log seq
       (Entry.Exec
          (Avm_machine.Event.Io_in { port = Avm_isa.Isa.port_net_rx; value = value + 7; msg }));
+    expect_diverged Replay.Crossref_mismatch
+      (Replay.replay ~image:(guest_image ()) ~mem_words:4096 ~peers:peers_b
+         ~entries:(Log.segment log ~from:1 ~upto:(Log.length log)) ())
+
+(* A RECV payload that is not a whole number of words cannot decode;
+   the replay reports it at the guest's read instead of raising. *)
+let test_malformed_recv_payload () =
+  let _, b = run_pair ~slices:30 () in
+  let log = Avmm.log b in
+  match first_rx_read (entries_of b) with
+  | None -> Alcotest.fail "no rx read found in log"
+  | Some (_, _, msg) ->
+    (match (Log.entry log msg).Entry.content with
+    | Entry.Recv r -> Log.tamper_reseal log msg (Entry.Recv { r with payload = r.payload ^ "x" })
+    | _ -> Alcotest.fail "rx read does not reference a RECV");
     expect_diverged Replay.Crossref_mismatch
       (Replay.replay ~image:(guest_image ()) ~mem_words:4096 ~peers:peers_b
          ~entries:(Log.segment log ~from:1 ~upto:(Log.length log)) ())
@@ -1548,6 +1564,7 @@ let () =
           Alcotest.test_case "patched image diverges" `Quick test_image_patch_diverges;
           Alcotest.test_case "prefix replay verifies" `Quick test_log_truncation_fails_replay;
           Alcotest.test_case "crossref mismatch" `Quick test_crossref_mismatch;
+          Alcotest.test_case "malformed recv payload" `Quick test_malformed_recv_payload;
           Alcotest.test_case "incremental engine" `Quick test_replay_engine_incremental;
         ] );
       ( "audit-evidence",

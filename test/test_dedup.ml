@@ -1,10 +1,11 @@
 (* Deduplicated re-execution (Replay_cache, DESIGN.md §14): the memo
-   protocol's unit behavior, its adversarial edges — a planted cheat
-   whose fingerprint collides with a cached honest chunk, and a
-   poisoned table entry — and the QCheck equivalence property that
-   audits draw identical verdicts with the cache cold, warm, cleared
-   mid-audit, or not given at all, at 1 and 4 auditor jobs, over
-   randomly tampered logs. *)
+   protocol's unit behavior on the two paths that run it — k = 1
+   spot-check chunks and online sessions — its adversarial edges (a
+   planted cheat whose fingerprint collides with a cached honest chunk,
+   and a poisoned table entry), and the QCheck equivalence property
+   that chunk audits draw identical verdicts with the cache cold, warm,
+   cleared mid-audit, or not given at all, at 1 and 4 auditor jobs,
+   over randomly tampered logs. *)
 
 open Avm_core
 open Avm_tamperlog
@@ -45,12 +46,12 @@ let cert_of name = Identity.certificate (if name = "alice" then alice else bob)
 let peers_a = [ (0, "alice"); (1, "bob") ]
 let peers_b = [ (0, "bob"); (1, "alice") ]
 
-(* One recorded session (bob is the node under audit), with the
-   authenticators a witness would have collected. Recorded once; every
-   test forks the log rather than re-running the session. *)
+(* One recorded session (bob is the node under audit), snapshotted
+   every 50 ms so its k = 1 chunks cover most of the log. Recorded
+   once; every test forks the log rather than re-running the session. *)
 let session =
   lazy
-    (let config = Config.make ~snapshot_every_us:(Some 100_000) Config.Avmm_rsa768 in
+    (let config = Config.make ~snapshot_every_us:(Some 50_000) Config.Avmm_rsa768 in
      let a_out = Queue.create () and b_out = Queue.create () in
      let a =
        Avmm.create ~identity:alice ~config ~image:(image ()) ~mem_words:4096
@@ -63,11 +64,9 @@ let session =
          ~on_send:(fun e -> Queue.add e b_out)
          ()
      in
-     let auths = ref [] in
      let shuttle src dst outq =
        while not (Queue.is_empty outq) do
          let env = Queue.pop outq in
-         auths := env.Wireformat.auth :: !auths;
          match Avmm.deliver dst env ~sender_cert:(cert_of env.Wireformat.src) with
          | `Ack ack | `Duplicate ack ->
            ignore (Avmm.accept_ack src ack ~acker_cert:(cert_of ack.Wireformat.acker))
@@ -82,20 +81,63 @@ let session =
        shuttle a b a_out;
        shuttle b a b_out
      done;
-     (b, !auths))
+     b)
 
-let bob_entries () =
-  let b, _ = Lazy.force session in
-  let log = Avmm.log b in
-  Log.segment log ~from:1 ~upto:(Log.length log)
-
-let bob_ctx () =
-  let _, auths = Lazy.force session in
-  Audit.ctx ~node_cert:(cert_of "bob")
-    ~peer_certs:[ ("alice", cert_of "alice"); ("bob", cert_of "bob") ]
-    ~auths ()
+let bob () = Lazy.force session
 
 let fresh_pre_state () = Avm_machine.Snapshot.machine_digest (Machine.create ~mem_words:4096 (image ()))
+
+(* The session's k = 1 spot-check chunks, as (start snapshot, first
+   entry, last entry): one per pair of consecutive snapshot boundaries. *)
+let chunks log =
+  let rec go = function
+    | (b0 : Spot_check.boundary) :: (b1 :: _ as rest) ->
+      (b0.snapshot_seq, b0.entry_seq + 1, b1.entry_seq) :: go rest
+    | _ -> []
+  in
+  go (Spot_check.boundaries log)
+
+(* What [Spot_check.check_chunk] fingerprints for the chunk at [start]:
+   its entries, against the digest logged at its opening boundary. *)
+let chunk_print log start =
+  let _, from, upto = List.find (fun (s, _, _) -> s = start) (chunks log) in
+  let pre_state =
+    match (Log.entry log (from - 1)).Entry.content with
+    | Entry.Snapshot_ref { digest; _ } -> digest
+    | _ -> assert false
+  in
+  Replay_cache.fingerprint ~image:(image ()) ~mem_words:4096 ~peers:peers_b ~pre_state
+    (Log.segment log ~from ~upto)
+
+let check_chunk ?cache log start =
+  (Spot_check.check_chunk ?cache ~image:(image ()) ~mem_words:4096
+     ~snapshots:(Avmm.snapshots (bob ())) ~log ~peers:peers_b ~start_snapshot:start ~k:1 ())
+    .Spot_check.outcome
+
+let first_send log ~from ~upto =
+  let found = ref 0 in
+  (try
+     Log.iter_range log ~from ~upto (fun e ->
+         match e.Entry.content with
+         | Entry.Send _ ->
+           found := e.Entry.seq;
+           raise Exit
+         | _ -> ())
+   with Exit -> ());
+  !found
+
+(* The first k = 1 chunk holding a SEND, and that SEND's seq. *)
+let chunk_with_send log =
+  List.find_map
+    (fun (start, from, upto) ->
+      match first_send log ~from ~upto with 0 -> None | seq -> Some (start, seq))
+    (chunks log)
+  |> Option.get
+
+let tamper_send log seq =
+  match (Log.entry log seq).Entry.content with
+  | Entry.Send s -> Log.tamper_reseal log seq (Entry.Send { s with payload = s.payload ^ "x" })
+  | _ -> assert false
 
 let counts = function
   | Replay.Verified { instructions; entries_consumed } -> (instructions, entries_consumed)
@@ -103,16 +145,14 @@ let counts = function
 
 (* --- unit: the memo protocol --------------------------------------------- *)
 
-(* Second replay of the same chunk hits, and the hit reconstructs the
+(* Second check of the same chunk hits, and the hit reconstructs the
    first replay's exact Verified payload. *)
 let test_hit_reconstructs_outcome () =
   let cache = Replay_cache.create ~spot_rate:0 () in
-  let entries = bob_entries () in
-  let replay () =
-    Replay.replay ~image:(image ()) ~mem_words:4096 ~peers:peers_b ~cache ~entries ()
-  in
-  let first = replay () in
-  let second = replay () in
+  let log = Avmm.log (bob ()) in
+  let start, _, _ = List.hd (chunks log) in
+  let first = check_chunk ~cache log start in
+  let second = check_chunk ~cache log start in
   Alcotest.(check (pair int int)) "same payload" (counts first) (counts second);
   let s = Replay_cache.stats cache in
   Alcotest.(check int) "one miss" 1 s.Replay_cache.misses;
@@ -126,49 +166,20 @@ let test_hit_reconstructs_outcome () =
    warm cache. *)
 let test_planted_cheat_colliding_fingerprint_caught () =
   let cache = Replay_cache.create ~spot_rate:0 () in
-  let entries = bob_entries () in
+  let honest = Avmm.log (bob ()) in
+  let start, seq = chunk_with_send honest in
   (* Warm the cache with the honest chunk. *)
-  (match
-     Replay.replay ~image:(image ()) ~mem_words:4096 ~peers:peers_b ~cache ~entries ()
-   with
+  (match check_chunk ~cache honest start with
   | Replay.Verified _ -> ()
   | o -> Alcotest.failf "honest replay diverged: %s" (Format.asprintf "%a" Replay.pp_outcome o));
   (* Tamper a SEND payload: the payload is a claim (outputs digest),
      not an input — the tampered chunk fingerprints to the SAME key. *)
-  let b, _ = Lazy.force session in
-  let forked = Log.fork (Avmm.log b) in
-  let seq =
-    let found = ref 0 in
-    (try
-       Log.iter_range forked ~from:1 ~upto:(Log.length forked) (fun e ->
-           match e.Entry.content with
-           | Entry.Send _ when !found = 0 ->
-             found := e.Entry.seq;
-             raise Exit
-           | _ -> ())
-     with Exit -> ());
-    !found
-  in
-  Alcotest.(check bool) "session has a send" true (seq > 0);
-  (match (Log.entry forked seq).Entry.content with
-  | Entry.Send s -> Log.tamper_reseal forked seq (Entry.Send { s with payload = s.payload ^ "x" })
-  | _ -> assert false);
-  let tampered = Log.segment forked ~from:1 ~upto:(Log.length forked) in
-  let honest_key =
-    Replay_cache.key_hex
-      (Replay_cache.fingerprint ~image:(image ()) ~mem_words:4096 ~peers:peers_b
-         ~pre_state:(fresh_pre_state ()) (bob_entries ()))
-  in
-  let tampered_key =
-    Replay_cache.key_hex
-      (Replay_cache.fingerprint ~image:(image ()) ~mem_words:4096 ~peers:peers_b
-         ~pre_state:(fresh_pre_state ()) tampered)
-  in
-  Alcotest.(check string) "fingerprints collide" honest_key tampered_key;
-  (match
-     Replay.replay ~image:(image ()) ~mem_words:4096 ~peers:peers_b ~cache
-       ~entries:tampered ()
-   with
+  let forked = Log.fork honest in
+  tamper_send forked seq;
+  Alcotest.(check string) "fingerprints collide"
+    (Replay_cache.key_hex (chunk_print honest start))
+    (Replay_cache.key_hex (chunk_print forked start));
+  (match check_chunk ~cache forked start with
   | Replay.Diverged _ -> ()
   | Replay.Verified _ -> Alcotest.fail "tampered chunk laundered through the cache");
   let s = Replay_cache.stats cache in
@@ -181,21 +192,12 @@ let test_planted_cheat_colliding_fingerprint_caught () =
    [poisoned]. *)
 let test_poisoned_entry_caught_by_spot_check () =
   let cache = Replay_cache.create ~spot_rate:1 () in
-  let b, _ = Lazy.force session in
-  let forked = Log.fork (Avmm.log b) in
-  let n = Log.length forked in
-  Log.tamper_reseal forked (n / 2) (Entry.Note "poisoned");
-  let tampered = Log.segment forked ~from:1 ~upto:n in
-  let p =
-    Replay_cache.fingerprint ~image:(image ()) ~mem_words:4096 ~peers:peers_b
-      ~pre_state:(fresh_pre_state ()) tampered
-  in
-  (* The poison: claims of the tampered log, fabricated counts. *)
-  Replay_cache.remember cache p ~instructions:1 ~entries_consumed:n ();
-  (match
-     Replay.replay ~image:(image ()) ~mem_words:4096 ~peers:peers_b ~cache
-       ~entries:tampered ()
-   with
+  let forked = Log.fork (Avmm.log (bob ())) in
+  let start, seq = chunk_with_send forked in
+  Log.tamper_reseal forked seq (Entry.Note "poisoned");
+  (* The poison: claims of the tampered chunk, fabricated counts. *)
+  Replay_cache.remember cache (chunk_print forked start) ~instructions:1 ~entries_consumed:1 ();
+  (match check_chunk ~cache forked start with
   | Replay.Diverged _ -> ()
   | Replay.Verified _ -> Alcotest.fail "poisoned cache entry laundered a cheat");
   let s = Replay_cache.stats cache in
@@ -203,15 +205,49 @@ let test_poisoned_entry_caught_by_spot_check () =
   Alcotest.(check int) "poison detected and evicted" 1 s.Replay_cache.poisoned;
   Alcotest.(check int) "entry gone" 0 (Replay_cache.size cache)
 
+(* The same poisoning against an online session: the planted entry
+   claims the tampered first chunk verified. The spot-designated hit
+   replays, diverges, and the session must evict the entry as the
+   chunk path does — not only set its verdict. *)
+let test_online_poisoned_entry_evicted () =
+  let cache = Replay_cache.create ~spot_rate:1 () in
+  let b = bob () in
+  let forked = Log.fork (Avmm.log b) in
+  let first_boundary = (List.hd (Spot_check.boundaries forked)).Spot_check.entry_seq in
+  let seq = first_send forked ~from:1 ~upto:first_boundary in
+  Alcotest.(check bool) "first chunk has a send" true (seq > 0);
+  tamper_send forked seq;
+  Replay_cache.remember cache
+    (Replay_cache.fingerprint ~image:(image ()) ~mem_words:4096 ~peers:peers_b
+       ~pre_state:(fresh_pre_state ())
+       (Log.segment forked ~from:1 ~upto:first_boundary))
+    ~instructions:1 ~entries_consumed:first_boundary ();
+  let s =
+    Online_audit.Session.open_session ~image:(image ()) ~mem_words:4096 ~replay_rate:1.0 ~cache
+      ~snapshot_of:(fun () -> Avmm.snapshots b)
+      ~peers:peers_b ()
+  in
+  ignore (Online_audit.Session.ingest s forked);
+  let rec drain n =
+    match Online_audit.Session.step s ~budget_instructions:1_000_000_000 with
+    | Some v -> Some v
+    | None -> if n > 0 then drain (n - 1) else None
+  in
+  (match drain 10 with
+  | Some (Online_audit.Diverged _) -> ()
+  | _ -> Alcotest.fail "online session did not report the tampered send");
+  let st = Replay_cache.stats cache in
+  Alcotest.(check int) "spot designated" 1 st.Replay_cache.spot_checks;
+  Alcotest.(check int) "poison detected and evicted" 1 st.Replay_cache.poisoned;
+  Alcotest.(check int) "entry gone" 0 (Replay_cache.size cache)
+
 (* Honest spot-designated hits replay fully, agree, and keep the entry. *)
 let test_spot_check_confirms_honest_entry () =
   let cache = Replay_cache.create ~spot_rate:1 () in
-  let entries = bob_entries () in
-  let replay () =
-    Replay.replay ~image:(image ()) ~mem_words:4096 ~peers:peers_b ~cache ~entries ()
-  in
-  let first = replay () in
-  let second = replay () in
+  let log = Avmm.log (bob ()) in
+  let start, _, _ = List.hd (chunks log) in
+  let first = check_chunk ~cache log start in
+  let second = check_chunk ~cache log start in
   Alcotest.(check (pair int int)) "same payload" (counts first) (counts second);
   let s = Replay_cache.stats cache in
   Alcotest.(check int) "spot designated" 1 s.Replay_cache.spot_checks;
@@ -231,29 +267,26 @@ let test_fifo_bound () =
   Alcotest.(check bool) "bounded" true (Replay_cache.size cache <= 4);
   Alcotest.(check int) "capacity" 4 (Replay_cache.capacity cache)
 
-(* --- QCheck: audit equivalence cache-on/off/cleared, jobs 1 and 4 -------- *)
+(* --- QCheck: chunk-audit equivalence cache-on/off/cleared, jobs 1 and 4 - *)
 
-(* One audit's verdict-relevant projection. *)
-let project (o : Audit.outcome) =
-  ( (match o.Audit.verdict with Ok () -> None | Error e -> Some e),
-    o.Audit.syntactic.Audit.failures,
-    match o.Audit.semantic with
-    | Some (Replay.Verified { instructions; entries_consumed }) ->
-      Some (instructions, entries_consumed)
-    | Some (Replay.Diverged d) -> Some (Option.value d.Replay.entry_seq ~default:0, -1)
-    | None -> None )
+(* One chunk audit's verdict-relevant projection. *)
+let project = function
+  | Replay.Verified { instructions; entries_consumed } -> Ok (instructions, entries_consumed)
+  | Replay.Diverged d -> Error (Replay.kind_name d.Replay.kind, d.Replay.entry_seq)
 
 let equivalence_prop =
   QCheck2.Test.make ~count:8 ~name:"audit verdicts: cache on = off = cleared, jobs 1 and 4"
     QCheck2.Gen.(pair (int_bound 1000) bool)
     (fun (salt, tamper) ->
-      let b, _ = Lazy.force session in
+      let b = bob () in
       let log = Log.fork (Avmm.log b) in
-      let n = Log.length log in
+      let cs = chunks log in
       if tamper then begin
-        (* Mutate a random committed entry, reseal the chain after it —
-           the strong attacker from test_core's completeness property. *)
-        let seq = 1 + (salt mod (n - 1)) in
+        (* Mutate a random entry the chunks cover, reseal the chain
+           after it — the strong attacker from test_core's completeness
+           property. *)
+        let _, lo, _ = List.hd cs and _, _, hi = List.nth cs (List.length cs - 1) in
+        let seq = lo + (salt mod (hi - lo + 1)) in
         let mutated =
           match (Log.entry log seq).Entry.content with
           | Entry.Send s -> Entry.Send { s with payload = s.payload ^ "x" }
@@ -268,12 +301,12 @@ let equivalence_prop =
         in
         Log.tamper_reseal log seq mutated
       end;
-      let snapshots = Avmm.snapshots b in
+      let ks = List.map (fun (start, _, _) -> (start, 1)) cs in
       let audit ?cache jobs =
-        project
-          (Audit.full_of_log ~ctx:(bob_ctx ()) ~image:(image ()) ~mem_words:4096
-             ~peers:peers_b ?cache ~log ~snapshots
-             ~par:(Audit.parallel jobs) ())
+        List.map
+          (fun r -> project r.Spot_check.outcome)
+          (Spot_check.check_chunks ?cache ~par:(Audit.parallel jobs) ~image:(image ())
+             ~mem_words:4096 ~snapshots:(Avmm.snapshots b) ~log ~peers:peers_b ks)
       in
       let baseline = audit 1 in
       List.for_all
@@ -307,6 +340,8 @@ let () =
             test_poisoned_entry_caught_by_spot_check;
           Alcotest.test_case "spot check confirms honest entry" `Quick
             test_spot_check_confirms_honest_entry;
+          Alcotest.test_case "online spot check evicts poisoned entry" `Quick
+            test_online_poisoned_entry_evicted;
           Alcotest.test_case "fifo bound" `Quick test_fifo_bound;
         ] );
       ( "equivalence",
